@@ -45,6 +45,7 @@ from .errors import (
     EmptySupport,
     HypothesisViolated,
     InfeasibleWindow,
+    InvariantViolation,
     NegativeBound,
     NonTermination,
     NoSupportInWindow,

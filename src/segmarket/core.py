@@ -18,6 +18,7 @@ from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
     EmptySupport,
+    InvariantViolation,
     NegativeBound,
     PriceOutsideWindow,
     SegmentationMismatch,
@@ -313,7 +314,8 @@ def largest_dominated_er(
             raise NegativeBound("extraction bound must be nonnegative")
         bounds.append(b)
     gamma = min(bounds)
-    assert gamma >= 0
+    if gamma < 0:
+        raise InvariantViolation("extraction weight came out negative")
     return gamma, unit.scaled(gamma)
 
 

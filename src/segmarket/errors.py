@@ -37,6 +37,13 @@ class NonTermination(SegmarketError):
     """An extraction loop exceeded its iteration guard; indicates a logic error."""
 
 
+class InvariantViolation(SegmarketError):
+    """An internal invariant failed; indicates a logic error, never bad input.
+
+    Raised rather than asserted, so the check also runs under ``python -O``.
+    """
+
+
 class EmptyAboveFloor(SegmarketError):
     """No buyer mass at or above the window floor, so no regulated sale can happen."""
 

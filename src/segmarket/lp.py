@@ -3,10 +3,14 @@
 This module is deliberately independent of the constructive algorithms in
 ``passive.py`` and ``active.py``. It writes segmentation down as a linear
 program over per-segment mass variables ``x[p, v]`` (mass of value-``v``
-buyers placed in the segment priced ``p``) and solves it with a dense
-two-phase simplex over ``Fraction`` using Bland's rule, so every verdict and
-optimum is exact. The constructive route and this oracle must agree; the test
-suite leans on that redundancy.
+buyers placed in the segment priced ``p``) and solves it with a two-phase
+simplex using Bland's rule, so every verdict and optimum is exact. The
+tableau is fraction-free and sparse, in the spirit of Bareiss (1968) and of
+QSopt_ex (Applegate, Cook, Dash & Espinoza, 2007): each row holds only its
+nonzero entries as Python ints, a pivot cross-multiplies the rows it touches
+and divides out their gcd, and only the final value and assignment are
+turned into Fractions. The constructive route and this oracle must agree;
+the test suite leans on that redundancy.
 
 The LP for a market ``x*`` and price window ``F``:
 
@@ -23,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Literal, Mapping, Sequence
 
 from .core import Market, Model, PriceWindow, MarketScheme, Segment, ZERO
-from .errors import InfeasibleWindow
+from .errors import InfeasibleWindow, InvariantViolation
 
 Relation = Literal["==", "<=", ">="]
 Status = Literal["optimal", "infeasible"]
@@ -55,149 +60,152 @@ def solve(
 ) -> LPResult:
     """Solve min/max of ``objective . x`` subject to *rows* and ``x >= 0``.
 
-    Two-phase dense simplex with Bland's rule, so it terminates on every
-    input. Unboundedness raises RuntimeError: the segmentation polytopes this
-    module builds are bounded, so hitting it means a malformed program.
+    Two-phase simplex with Bland's rule, so it terminates on every input. The
+    tableau is fraction-free and sparse: a row is a ``{column: int}`` dict of
+    its nonzeros, kept primitive (any positive multiple of an equation is the
+    same equation), and a basic variable's value is the row's right-hand side
+    over its own coefficient. Sign and ratio tests are exact, so the pivots
+    are those a Fraction tableau would take; the value and assignment come
+    back as Fractions. Unboundedness raises RuntimeError: the segmentation
+    polytopes this module builds are bounded, so hitting it means a
+    malformed program.
     """
     if len(objective) != num_vars:
         raise ValueError("objective length must equal the variable count")
-    c = [Fraction(v) for v in objective]
-    if sense == "max":
-        c = [-v for v in c]
-
-    # Normalize to equalities with nonnegative right-hand sides. Slack
-    # columns come after the structural variables, artificials after slacks.
-    # A row whose slack survives normalization with coefficient +1 starts
-    # basic on its own slack; only the other rows need an artificial.
-    n_slack = sum(1 for r in rows if r.relation != "==")
-    core_width = num_vars + n_slack
-    cores: list[list[Fraction]] = []
-    rhss: list[Fraction] = []
-    basis_plan: list[int | None] = []
-    slack_pos = num_vars
-    for row in rows:
+    # Columns: structural variables, then slacks, then one artificial slot
+    # per row (column art_start + i), then the right-hand side and, in cost
+    # rows only, their positive denominator: cost = row / row[den].
+    art_start = num_vars + sum(1 for r in rows if r.relation != "==")
+    rhs = art_start + len(rows)
+    den = rhs + 1
+    tableau: list[dict[int, int]] = []
+    basis: list[int] = []
+    slack = num_vars
+    for i, row in enumerate(rows):
         if len(row.coeffs) != num_vars:
             raise ValueError(f"row {row.name} has the wrong width")
-        core = [Fraction(v) for v in row.coeffs] + [ZERO] * n_slack
-        slack = None
-        if row.relation == "<=":
-            core[slack_pos] = Fraction(1)
-            slack = slack_pos
-            slack_pos += 1
-        elif row.relation == ">=":
-            core[slack_pos] = Fraction(-1)
-            slack = slack_pos
-            slack_pos += 1
-        rhs = row.rhs
-        if rhs < 0:
-            core = [-v for v in core]
-            rhs = -rhs
-        cores.append(core)
-        rhss.append(rhs)
-        basis_plan.append(slack if slack is not None and core[slack] > 0 else None)
-    n_art = sum(1 for b in basis_plan if b is None)
-    width = core_width + n_art + 1  # trailing column is the rhs
-    art_start = core_width
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    next_art = art_start
-    for core, rhs, planned in zip(cores, rhss, basis_plan):
-        line = core + [ZERO] * n_art + [rhs]
-        if planned is None:
-            line[next_art] = Fraction(1)
-            basis.append(next_art)
-            next_art += 1
-        else:
-            basis.append(planned)
+        line = _integer_row([*enumerate(row.coeffs), (rhs, row.rhs)])
+        sign = {"<=": 1, ">=": -1, "==": 0}[row.relation]
+        # Sign the row so its rhs is >= 0 and, when the rhs is 0, its slack
+        # is +1: such a row starts basic on its slack, the rest on an
+        # artificial.
+        if line.get(rhs, 0) < 0 or (sign < 0 and rhs not in line):
+            line = {j: -v for j, v in line.items()}
+            sign = -sign
+        if sign:
+            line[slack] = sign
+            slack += 1
+        if sign <= 0:
+            line[art_start + i] = 1
+        basis.append(slack - 1 if sign > 0 else art_start + i)
         tableau.append(line)
 
-    if n_art:
+    if any(b >= art_start for b in basis):
         # Phase 1: minimize the sum of artificials.
-        cost = [ZERO] * width
-        for j in range(art_start, art_start + n_art):
-            cost[j] = Fraction(1)
-        for i, b in enumerate(basis):
-            if cost[b] != 0:
-                f = cost[b]
-                cost = [cv - f * tv for cv, tv in zip(cost, tableau[i])]
-        _iterate(tableau, basis, cost, width, allowed=width - 1)
-        if -cost[-1] > 0:
+        cost = {b: 1 for b in basis if b >= art_start}
+        cost[den] = 1
+        cost = _iterate(tableau, basis, cost, rhs, rhs)
+        if cost.get(rhs, 0) < 0:
             return LPResult("infeasible", None, None)
 
-        # Drive leftover artificials out of the basis; drop redundant rows.
+        # Drive leftover artificials out of the basis; drop redundant rows
+        # and the artificial columns.
         keep: list[int] = []
-        for i in range(len(tableau)):
-            if basis[i] >= art_start:
-                for j in range(art_start):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, basis, i, j)
-                        break
-                else:
+        for i, b in enumerate(basis):
+            if b >= art_start:
+                cols = [j for j in tableau[i] if j < art_start]
+                if not cols:
                     continue  # all-zero row: redundant constraint
+                _pivot(tableau, basis, i, min(cols))
             keep.append(i)
-        tableau = [tableau[i] for i in keep]
+        tableau = [
+            {j: v for j, v in tableau[i].items() if not art_start <= j < rhs}
+            for i in keep
+        ]
         basis = [basis[i] for i in keep]
 
-    # Phase 2 over the original objective; artificial columns stay blocked.
-    cost = c + [ZERO] * (width - num_vars)
-    for i, b in enumerate(basis):
-        if cost[b] != 0:
-            f = cost[b]
-            cost = [cv - f * tv for cv, tv in zip(cost, tableau[i])]
-    _iterate(tableau, basis, cost, width, allowed=art_start)
-
-    value = -cost[-1]
-    if sense == "max":
-        value = -value
+    # Phase 2 over the original objective.
+    flip = -1 if sense == "max" else 1
+    cost = _integer_row([*((j, flip * v) for j, v in enumerate(objective)), (den, 1)])
+    cost = _iterate(tableau, basis, cost, art_start, rhs)
+    value = Fraction(-cost.get(rhs, 0), cost[den])
     x = [ZERO] * num_vars
-    for i, b in enumerate(basis):
+    for line, b in zip(tableau, basis):
         if b < num_vars:
-            x[b] = tableau[i][-1]
-    return LPResult("optimal", value, tuple(x))
+            x[b] = Fraction(line.get(rhs, 0), line[b])
+    return LPResult("optimal", flip * value, tuple(x))
+
+
+def _integer_row(entries: Sequence[tuple[int, Fraction]]) -> dict[int, int]:
+    """The nonzero ``(column, value)`` entries as a primitive integer row with
+    the same signs: times the lcm of the denominators, over the numerators' gcd."""
+    values = [(j, Fraction(v)) for j, v in entries if v]
+    scale = lcm(*(v.denominator for _, v in values))
+    line = {j: v.numerator * (scale // v.denominator) for j, v in values}
+    g = gcd(*line.values())
+    return {j: v // g for j, v in line.items()} if g > 1 else line
+
+
+def _combine(line: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """``p * line - line[col] * prow`` for the pivot entry ``p = prow[col] > 0``,
+    made primitive: *line* with *col* eliminated, up to a positive factor.
+    Only *line*'s and *prow*'s nonzeros are visited."""
+    p, f = prow[col], line[col]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = {j: p * v for j, v in line.items()} if p != 1 else dict(line)
+    for j, v in prow.items():
+        x = out.get(j, 0) - f * v
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
 def _iterate(
-    tableau: list[list[Fraction]],
+    tableau: list[dict[int, int]],
     basis: list[int],
-    cost: list[Fraction],
-    width: int,
+    cost: dict[int, int],
     allowed: int,
-) -> None:
-    """Pivot until no reduced cost among columns < *allowed* is negative."""
+    rhs: int,
+) -> dict[int, int]:
+    """Price the basic columns out of *cost*, then pivot until no reduced cost
+    among columns < *allowed* is negative; return the final cost row. Ratios
+    ``rhs / a`` compare by cross-multiplying."""
+    for line, b in zip(tableau, basis):
+        if b in cost:
+            cost = _combine(cost, line, b)
     while True:
-        col = -1
-        for j in range(allowed):
-            if cost[j] < 0:
-                col = j
-                break
+        col = min((j for j, v in cost.items() if v < 0 and j < allowed), default=-1)
         if col < 0:
-            return
-        row = -1
-        best: Fraction | None = None
+            return cost
+        row, best_b, best_a = -1, 0, 1
         for i, line in enumerate(tableau):
-            if line[col] > 0:
-                ratio = line[-1] / line[col]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[row]
-                ):
-                    best = ratio
-                    row = i
+            a = line.get(col, 0)
+            if a > 0:
+                b = line.get(rhs, 0)
+                d = b * best_a - best_b * a
+                if row < 0 or d < 0 or (d == 0 and basis[i] < basis[row]):
+                    row, best_b, best_a = i, b, a
         if row < 0:
             raise RuntimeError("LP is unbounded; segmentation LPs never are")
         _pivot(tableau, basis, row, col)
-        f = cost[col]
-        if f != 0:
-            for j in range(width):
-                cost[j] -= f * tableau[row][j]
+        cost = _combine(cost, tableau[row], col)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+def _pivot(tableau: list[dict[int, int]], basis: list[int], row: int, col: int) -> None:
+    """Make *col* basic in *row*, eliminating it from every other row that has it.
+
+    A negative pivot entry (driving out an artificial, whose rhs is 0) flips
+    the pivot row's sign first, so every row keeps a positive scale."""
+    if tableau[row][col] < 0:
+        tableau[row] = {j: -v for j, v in tableau[row].items()}
+    prow = tableau[row]
     for i, line in enumerate(tableau):
-        if i != row and line[col] != 0:
-            f = line[col]
-            tableau[i] = [a - f * b for a, b in zip(line, tableau[row])]
+        if i != row and col in line:
+            tableau[i] = _combine(line, prow, col)
     basis[row] = col
 
 
@@ -334,10 +342,24 @@ def _solve_or_raise(
     sense: Literal["min", "max"],
 ) -> Fraction:
     lp = build_lp(m, w, model)
-    result = solve_segmentation(lp, _surplus_objective(lp, kind), sense)
+    return _optimum(
+        lp, _surplus_objective(lp, kind), sense,
+        "no valid segmentation prices everything in the window",
+    )
+
+
+def _optimum(
+    lp: SegmentationLP,
+    objective: Sequence[Fraction],
+    sense: Literal["min", "max"],
+    infeasible: str,
+) -> Fraction:
+    """The optimal value, or InfeasibleWindow with message *infeasible*."""
+    result = solve_segmentation(lp, objective, sense)
     if result.status != "optimal":
-        raise InfeasibleWindow("no valid segmentation prices everything in the window")
-    assert result.value is not None
+        raise InfeasibleWindow(infeasible)
+    if result.value is None:
+        raise InvariantViolation("an optimal LP result carries no value")
     return result.value
 
 
@@ -377,10 +399,7 @@ def oracle_min_floor_mass(
     )
     objective = [ZERO] * len(lp.columns)
     objective[lp.column_of(floor, floor)] = Fraction(1)
-    result = solve_segmentation(lp, objective, "min")
-    if result.status != "optimal":
-        raise InfeasibleWindow(
-            "no passive segmentation prices everything in the reduced window"
-        )
-    assert result.value is not None
-    return result.value
+    return _optimum(
+        lp, objective, "min",
+        "no passive segmentation prices everything in the reduced window",
+    )

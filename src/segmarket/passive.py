@@ -37,6 +37,7 @@ from .core import (
 )
 from .errors import (
     InfeasibleWindow,
+    InvariantViolation,
     NonTermination,
     NoSupportInWindow,
     ZeroMarket,
@@ -208,7 +209,8 @@ def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
             support = extraction_support(residual, w)
             caps = _preservation_caps(residual, support, optimal)
             gamma, slice_market = largest_dominated_er(residual, support, caps)
-            assert gamma > 0, "seller-favoring peel stalled"
+            if gamma <= 0:
+                raise InvariantViolation("seller-favoring peel stalled")
         else:
             support = residual.support()
             gamma, slice_market = largest_dominated_er(residual, support)
@@ -217,11 +219,18 @@ def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
         steps.append(
             ExtractionStep(support, gamma, Segment(slice_market, price), residual)
         )
-        if not residual.is_zero():
-            assert base_optimal <= set(opt_prices(residual)), (
-                "peel disturbed the optimal-price set"
-            )
-    assert residual.is_zero(), "feasible window left a remainder"
+        if not residual.is_zero() and not base_optimal <= set(opt_prices(residual)):
+            raise InvariantViolation("peel disturbed the optimal-price set")
+    return _finished(m, w, residual, steps)
+
+
+def _finished(
+    m: Market, w: PriceWindow, residual: Market, steps: list[ExtractionStep]
+) -> SegmentationRun:
+    """The standardized run of a peel on a feasible window, which must have
+    left no remainder."""
+    if not residual.is_zero():
+        raise InvariantViolation("feasible window left a remainder")
     scheme = standardize(MarketScheme(m, tuple(s.segment for s in steps)), w)
     return SegmentationRun(scheme, residual, tuple(steps))
 
@@ -263,7 +272,10 @@ def welfare_minimal(m: Market, w: PriceWindow) -> SegmentationRun:
     surplus lands on its exact minimum while producer surplus stays at the
     single-price benchmark.
     """
-    red = minimal_reduction(m, w)
+    return _welfare_minimal(m, w, minimal_reduction(m, w))
+
+
+def _welfare_minimal(m: Market, w: PriceWindow, red: ReducedWindow) -> SegmentationRun:
     sub = red.reduced()
     guard = iteration_guard(len(m.grid))
     residual = m
@@ -292,9 +304,7 @@ def welfare_minimal(m: Market, w: PriceWindow) -> SegmentationRun:
         steps.append(
             ExtractionStep(support, gamma, Segment(slice_market, price), residual)
         )
-    assert residual.is_zero(), "feasible window left a remainder"
-    scheme = standardize(MarketScheme(m, tuple(s.segment for s in steps)), w)
-    return SegmentationRun(scheme, residual, tuple(steps))
+    return _finished(m, w, residual, steps)
 
 
 def min_consumer_surplus(m: Market, w: PriceWindow) -> Fraction:
@@ -305,7 +315,10 @@ def min_consumer_surplus(m: Market, w: PriceWindow) -> Fraction:
     drop below the single-price benchmark. The welfare-minimal construction
     attains this value.
     """
-    red = minimal_reduction(m, w)
+    return _min_consumer_surplus(m, minimal_reduction(m, w))
+
+
+def _min_consumer_surplus(m: Market, red: ReducedWindow) -> Fraction:
     return (
         red.floor_mass * m.grid[red.floor]
         + tail_value(m, red.floor + 1)

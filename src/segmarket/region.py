@@ -69,7 +69,13 @@ class SurplusRegion:
 
 def passive_region(m: Market, w: PriceWindow) -> SurplusRegion:
     """Corners of the passive region; requires the window to be feasible."""
-    cs_floor = passive.min_consumer_surplus(m, w)
+    return _passive_region(m, w, passive.minimal_reduction(m, w))
+
+
+def _passive_region(
+    m: Market, w: PriceWindow, red: passive.ReducedWindow
+) -> SurplusRegion:
+    cs_floor = passive._min_consumer_surplus(m, red)
     ps_floor = uniform_revenue(m)
     cap = tail_value(m, w.lo)
     return SurplusRegion(
@@ -102,11 +108,13 @@ class MixedScheme:
 
 
 def _corner_schemes(
-    m: Market, w: PriceWindow, model: Model
+    m: Market, w: PriceWindow, red: passive.ReducedWindow | None
 ) -> tuple[MarketScheme, MarketScheme, MarketScheme]:
-    if model == "passive":
+    """The (min, seller, buyer) corner schemes: passive when the window's
+    reduction *red* is given, active otherwise."""
+    if red is not None:
         return (
-            passive.welfare_minimal(m, w).scheme,
+            passive._welfare_minimal(m, w, red).scheme,
             passive.producer_optimal(m, w).scheme,
             passive.consumer_optimal(m, w).scheme,
         )
@@ -132,7 +140,9 @@ def mix_for_point(
     consumer surplus. Weight-zero corners contribute no segments. With
     *merge* the result is standardized to one segment per window price.
     """
-    region = passive_region(m, w) if model == "passive" else active_region(m, w)
+    # The passive floor-mass LP is solved once, for the region and the corners.
+    red = passive.minimal_reduction(m, w) if model == "passive" else None
+    region = _passive_region(m, w, red) if red is not None else active_region(m, w)
     if not region.contains(target):
         raise PointOutsideRegion(f"{target} lies outside the {model} region")
     spread = region.welfare_cap - region.v_min[0] - region.v_min[1]
@@ -142,7 +152,7 @@ def mix_for_point(
         w_seller = (target[1] - region.v_min[1]) / spread
         w_buyer = (target[0] - region.v_min[0]) / spread
         weights = (1 - w_seller - w_buyer, w_seller, w_buyer)
-    corners = _corner_schemes(m, w, model)
+    corners = _corner_schemes(m, w, red)
     segments: list[Segment] = []
     for weight, corner in zip(weights, corners):
         if weight == 0:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from segmarket import PriceWindow, market, validate_scheme
-from segmarket.errors import InfeasibleWindow
+from segmarket import lp
+from segmarket.errors import InfeasibleWindow, InvariantViolation
 from segmarket.lp import (
+    LPResult,
     LPRow,
     build_lp,
     dump_lp,
@@ -72,6 +74,66 @@ def test_solve_rejects_bad_widths():
         solve(2, [], [F(1)], "min")
     with pytest.raises(ValueError):
         solve(1, [LPRow("r", (F(1), F(1)), "<=", F(1))], [F(1)], "min")
+
+
+def test_solve_terminates_on_beales_cycling_example():
+    """Beale (1955): the largest-coefficient rule cycles here; Bland's rule
+    must reach the optimum -5/4 at x = (1, 0, 1, 0)."""
+    rows = [
+        LPRow("r1", (F(1, 4), F(-8), F(-1), F(9)), "<=", F(0)),
+        LPRow("r2", (F(1, 2), F(-12), F(-1, 2), F(3)), "<=", F(0)),
+        LPRow("r3", (F(0), F(0), F(1), F(0)), "<=", F(1)),
+    ]
+    result = solve(4, rows, [F(-3, 4), F(20), F(-1, 2), F(6)], "min")
+    assert result.status == "optimal"
+    assert result.value == F(-5, 4)
+    assert result.assignment == (F(1), F(0), F(1), F(0))
+
+
+def test_solve_zero_rhs_lower_rows():
+    """``>=`` rows with rhs 0 (which start basic on their own slack) mixed
+    with an equality, and with no equality at all (no phase 1)."""
+    rows = [
+        LPRow("sum", (F(1), F(1), F(1)), "==", F(6)),
+        LPRow("x>=y", (F(1), F(-1), F(0)), ">=", F(0)),
+        LPRow("y>=2z", (F(0), F(1), F(-2)), ">=", F(0)),
+    ]
+    result = solve(3, rows, [F(1), F(0), F(0)], "min")
+    assert result.status == "optimal"
+    assert result.value == F(12, 5)
+    assert result.assignment == (F(12, 5), F(12, 5), F(6, 5))
+    assert solve(3, rows, [F(0), F(0), F(1)], "max").value == F(6, 5)
+
+    rows = [
+        LPRow("x>=y", (F(1), F(-1)), ">=", F(0)),
+        LPRow("2y>=x", (F(-1), F(2)), ">=", F(0)),
+        LPRow("cap", (F(1), F(0)), "<=", F(4)),
+    ]
+    result = solve(2, rows, [F(1), F(1)], "max")
+    assert result.status == "optimal"
+    assert result.value == 8
+    assert result.assignment == (F(4), F(4))
+
+
+def test_solve_leaves_its_arguments_unchanged():
+    rows = [
+        LPRow("a", (F(1, 3), F(2)), ">=", F(1, 7)),
+        LPRow("b", (F(1), F(1)), "==", F(5, 2)),
+        LPRow("c", (F(-1), F(3)), "<=", F(-1, 2)),
+    ]
+    objective = [F(2, 9), F(-1, 4)]
+    rows_before, objective_before = list(rows), list(objective)
+    for sense in ("min", "max"):
+        assert solve(2, rows, objective, sense).status == "optimal"
+        assert rows == rows_before
+        assert objective == objective_before
+
+
+def test_optimum_without_a_value_is_a_typed_error(m1, w23, monkeypatch):
+    """The invariant holds under ``python -O`` too: it raises, not asserts."""
+    monkeypatch.setattr(lp, "solve", lambda *args: LPResult("optimal", None, None))
+    with pytest.raises(InvariantViolation):
+        oracle_min_cs(m1, w23, "passive")
 
 
 def test_solve_matches_vertex_enumeration():

@@ -12,8 +12,10 @@ from segmarket import (
     validate_scheme,
     zero_market,
 )
+from segmarket import passive
 from segmarket.errors import (
     InfeasibleWindow,
+    InvariantViolation,
     NonTermination,
     NoSupportInWindow,
     ZeroMarket,
@@ -214,6 +216,20 @@ def test_nontermination_guard_trips(m1, w23, monkeypatch):
         unregulated_consumer_optimal(m1)
     with pytest.raises(NonTermination):
         producer_optimal(m1, w23)
+
+
+def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
+    """A capped peel of weight zero raises, also under ``python -O``."""
+    real = passive.largest_dominated_er
+
+    def stalled(cap, support, extra_caps=()):
+        if extra_caps:
+            return F(0), zero_market(cap.grid)
+        return real(cap, support)
+
+    monkeypatch.setattr(passive, "largest_dominated_er", stalled)
+    with pytest.raises(InvariantViolation, match="stalled"):
+        consumer_optimal(m1, w23)
 
 
 @given(markets_with_window())
