@@ -55,7 +55,19 @@ def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fhi", required=True, help="window cap: grid value or '#k' 1-based index")
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser. It depends on no input, so it is built on
+    the first call and that same parser is returned afterwards."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="segmarket", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

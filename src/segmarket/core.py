@@ -8,6 +8,12 @@ price window constrains which grid values may be quoted.
 
 Everything here is a pure function over immutable data. All comparisons are
 exact; nothing is ever rounded.
+
+Markets are validated where they enter: ``Market(...)`` and :func:`market`
+check the shape and the sign of the masses, and so does every market the
+``serialize`` decoders build. Markets that this module's own arithmetic
+derives from valid ones (sums, scalings, checked differences, equal-revenue
+slices) are nonnegative by construction and skip that second pass.
 """
 
 from __future__ import annotations
@@ -81,27 +87,44 @@ class Market:
     def mass(self) -> Fraction:
         return sum(self.masses, ZERO)
 
+    # masses are nonnegative, so a nonzero mass is a positive one and the
+    # two scans below test truth instead of comparing against zero
     def is_zero(self) -> bool:
-        return all(m == 0 for m in self.masses)
+        return not any(self.masses)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.masses) if m > 0)
+        return tuple(i for i, m in enumerate(self.masses) if m)
 
     def scaled(self, factor: Fraction) -> "Market":
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        return Market(self.grid, tuple(m * factor for m in self.masses))
+        return _derived(self.grid, tuple(m * factor for m in self.masses))
 
     def minus(self, other: "Market") -> "Market":
+        """Entrywise difference; only the entries where *other* carries mass
+        are subtracted, and only those are checked for going negative."""
         _check_same_grid(self, other)
-        out = tuple(a - b for a, b in zip(self.masses, other.masses))
-        if any(m < 0 for m in out):
-            raise ValueError("subtraction would leave negative mass")
-        return Market(self.grid, out)
+        out = list(self.masses)
+        for i, b in enumerate(other.masses):
+            if b:
+                d = out[i] - b
+                if d < 0:
+                    raise ValueError("subtraction would leave negative mass")
+                out[i] = d
+        return _derived(self.grid, tuple(out))
 
     def plus(self, other: "Market") -> "Market":
         _check_same_grid(self, other)
-        return Market(self.grid, tuple(a + b for a, b in zip(self.masses, other.masses)))
+        return _derived(self.grid, tuple(a + b for a, b in zip(self.masses, other.masses)))
+
+
+def _derived(g: ValueGrid, masses: tuple[Fraction, ...]) -> Market:
+    """A market this module computed from valid ones, built without the
+    validation pass of ``Market(...)``."""
+    m = object.__new__(Market)
+    object.__setattr__(m, "grid", g)
+    object.__setattr__(m, "masses", masses)
+    return m
 
 
 def market(
@@ -112,7 +135,7 @@ def market(
 
 
 def zero_market(g: ValueGrid) -> Market:
-    return Market(g, (ZERO,) * len(g))
+    return _derived(g, (ZERO,) * len(g))
 
 
 def _check_same_grid(a: Market, b: Market) -> None:
@@ -280,19 +303,38 @@ def equal_revenue_market(g: ValueGrid, support: Iterable[int]) -> Market:
     supported price then earns revenue exactly ``m``, and prices off the
     support earn strictly less.
     """
+    return _spread(g, _equal_revenue_entries(g, support), ONE)
+
+
+def _equal_revenue_entries(
+    g: ValueGrid, support: Iterable[int]
+) -> list[tuple[int, Fraction]]:
+    """The ``(index, mass)`` pairs of the unit equal-revenue market, in index
+    order; every mass is positive. ``m * (v' - v) / (v * v')`` is
+    ``m * (1/v - 1/v')`` exactly."""
     idx = sorted(set(support))
     if not idx:
         raise EmptySupport("equal-revenue market needs a non-empty support")
     if idx[0] < 0 or idx[-1] >= len(g):
         raise IndexError("support index outside the grid")
-    masses = [ZERO] * len(g)
     m_low = g[idx[0]]
-    for k, i in enumerate(idx):
-        if k + 1 == len(idx):
-            masses[i] = m_low / g[i]
-        else:
-            masses[i] = m_low * (ONE / g[i] - ONE / g[idx[k + 1]])
-    return Market(g, tuple(masses))
+    entries = []
+    for i, j in zip(idx, idx[1:]):
+        v, v_next = g[i], g[j]
+        entries.append((i, m_low * (v_next - v) / (v * v_next)))
+    entries.append((idx[-1], m_low / g[idx[-1]]))
+    return entries
+
+
+def _spread(
+    g: ValueGrid, entries: list[tuple[int, Fraction]], factor: Fraction
+) -> Market:
+    """The market with mass ``u * factor`` at each ``(i, u)`` of *entries*
+    and zero elsewhere; *factor* is nonnegative."""
+    masses = [ZERO] * len(g)
+    for i, u in entries:
+        masses[i] = u * factor
+    return _derived(g, tuple(masses))
 
 
 def largest_dominated_er(
@@ -306,9 +348,10 @@ def largest_dominated_er(
     equal-revenue market on the support, ``x <= cap`` coordinate-wise, gamma
     additionally at most every entry of *extra_caps*, and gamma maximal. At
     least one of the constraints holds with equality unless gamma is zero.
+    Only the supported entries are computed.
     """
-    unit = equal_revenue_market(cap.grid, support)
-    bounds = [cap.masses[i] / unit.masses[i] for i in unit.support()]
+    entries = _equal_revenue_entries(cap.grid, support)
+    bounds = [cap.masses[i] / u for i, u in entries]
     for b in extra_caps:
         if b < 0:
             raise NegativeBound("extraction bound must be nonnegative")
@@ -316,7 +359,7 @@ def largest_dominated_er(
     gamma = min(bounds)
     if gamma < 0:
         raise InvariantViolation("extraction weight came out negative")
-    return gamma, unit.scaled(gamma)
+    return gamma, _spread(cap.grid, entries, gamma)
 
 
 def standardize(scheme: MarketScheme, w: PriceWindow) -> MarketScheme:

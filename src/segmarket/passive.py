@@ -105,23 +105,34 @@ def unregulated_consumer_optimal(m: Market) -> SegmentationRun:
 def extraction_support(m: Market, w: PriceWindow) -> tuple[int, ...]:
     """Support for a seller-favoring peel: everything outside the window plus
     only the highest in-window supported value."""
-    support = m.support()
-    inside = [i for i in support if i in w]
-    if not inside:
+    support = _seller_support(m.support(), w)
+    if support is None:
         raise NoSupportInWindow("no buyer mass at any window value")
-    return tuple(sorted(set(i for i in support if i not in w) | {inside[-1]}))
+    return support
+
+
+def _seller_support(support: tuple[int, ...], w: PriceWindow) -> tuple[int, ...] | None:
+    """The seller-favoring peel support drawn from a market's ascending
+    *support*, or None when no window value carries mass."""
+    inside = [i for i in support if w.lo <= i <= w.hi]
+    if not inside:
+        return None
+    top = inside[-1]
+    return tuple(i for i in support if i == top or not w.lo <= i <= w.hi)
 
 
 def _producer_steps(m: Market, w: PriceWindow) -> tuple[list[ExtractionStep], Market]:
     guard = iteration_guard(len(m.grid))
     residual = m
     steps: list[ExtractionStep] = []
-    while any(residual.masses[i] > 0 for i in w.indices()):
+    # one support scan per step decides both whether the window still holds
+    # mass and what the next peel covers; the peel's only window index is
+    # its top in-window value, which is also its price
+    while (support := _seller_support(residual.support(), w)) is not None:
         if len(steps) >= guard:
             raise NonTermination("producer-optimal split exceeded its iteration guard")
-        support = extraction_support(residual, w)
         gamma, slice_market = largest_dominated_er(residual, support)
-        price = min(i for i in support if i in w)
+        price = next(i for i in support if i in w)
         residual = residual.minus(slice_market)
         steps.append(
             ExtractionStep(support, gamma, Segment(slice_market, price), residual)

@@ -21,7 +21,7 @@ from .core import (
     opt_prices,
     uniform_revenue,
 )
-from .errors import BadRange, HypothesisViolated
+from .errors import BadRange, HypothesisViolated, ZeroMarket
 from .passive import is_feasible
 
 
@@ -50,8 +50,12 @@ def design_prefix_window(m: Market) -> PriceWindow:
     """Shortest feasible window anchored at index 0 (the cheapest grid value).
 
     Returns ``PriceWindow(0, hi)`` for the least ``hi`` at which
-    :func:`~segmarket.passive.is_feasible` holds. Scans the prefix length
-    upward; the full grid is always feasible, so the scan terminates.
+    :func:`~segmarket.passive.is_feasible` holds. Feasibility is
+    superset-monotone (a segmentation pricing inside a window also prices
+    inside any window containing it), so the feasible prefixes are exactly
+    those reaching some least ``hi``, and a bisection over ``0..n-1`` finds it
+    in about ``log2 n`` feasibility checks. The full grid is always feasible
+    and is never checked.
 
     That contract is all this function promises. Whether the result also
     gives buyers the largest guaranteed consumer surplus among *all* feasible
@@ -59,11 +63,16 @@ def design_prefix_window(m: Market) -> PriceWindow:
     and ``tests/test_regulator.py`` check it on the reference market and on
     seeded random markets.
     """
-    for hi in range(len(m.grid)):
-        w = PriceWindow(0, hi)
-        if is_feasible(m, w):
-            return w
-    raise AssertionError("the full grid window is always feasible")
+    if m.is_zero():
+        raise ZeroMarket("feasibility is undefined for a market with no buyers")
+    lo, hi = 0, len(m.grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if is_feasible(m, PriceWindow(0, mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return PriceWindow(0, hi)
 
 
 def uniform_market(lo: int, hi: int) -> Market:

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from segmarket import PriceWindow, market, scheme_surplus, validate_scheme
-from segmarket import serialize
-from segmarket.cli import main
+from segmarket import cli, serialize
+from segmarket.cli import build_parser, main
 from segmarket.passive import unregulated_consumer_optimal
 from segmarket.regulator import feasibility_sweep
 
@@ -217,3 +217,81 @@ def test_usage_errors(m1_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["feasible", "--market", str(bad), "--flo", "2", "--fhi", "3"]) == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_runs_after_a_usage_error_match_fresh_runs(m1_file, tmp_path, capsys, monkeypatch):
+    design = ["design-f", "--market", m1_file]
+    sweep = ["sweep", "--top", "7"]
+
+    def alone(argv):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    expected = [alone(design), alone(sweep)]
+    assert expected[0] == (0, "1..2\n")
+    assert main(["design-f", "--market", m1_file, "--bogus"]) == 1
+    assert "error:" in capsys.readouterr().err
+    got = []
+    for argv in (design, sweep):
+        code = main(argv)
+        got.append((code, capsys.readouterr().out))
+    assert got == expected
+
+
+def _single_error(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("values,masses", [([1], [0]), ([1, 2], [0, 0])])
+def test_design_f_rejects_zero_markets(tmp_path, capsys, values, masses):
+    path = tmp_path / "zero.json"
+    path.write_text(serialize.dumps(serialize.market_to_obj(market(values, masses))))
+    assert main(["design-f", "--market", str(path)]) == 1
+    _single_error(capsys)
+
+
+MALFORMED_MARKETS = {
+    "float-masses": '{"values": ["1", "2"], "masses": [0.5, 0.5]}',
+    "short-masses": '{"values": ["1", "2", "3"], "masses": ["1", "1"]}',
+    "negative-mass": '{"values": ["1", "2"], "masses": ["1", "-1/2"]}',
+    "bare-list": '[["1", "2"], ["1", "1"]]',
+    "decreasing-grid": '{"values": ["2", "1"], "masses": ["1", "1"]}',
+    "empty-grid": '{"values": [], "masses": []}',
+    "non-rational": '{"values": ["1", "two"], "masses": ["1", "1"]}',
+    "zero-denominator": '{"values": ["1", "2"], "masses": ["1/0", "1"]}',
+    "boolean": '{"values": ["1", "2"], "masses": [true, "1"]}',
+    "truncated": '{"values": ["1", "2"], "masses": ["1", ',
+}
+
+
+def _as_scheme(text):
+    """The scheme file holding a malformed market as its aggregate; input
+    that is no market object at all stays as it is."""
+    if not text.startswith("{") or not text.endswith("}"):
+        return text
+    return '{"aggregate": ' + text + ', "segments": []}'
+
+
+@pytest.mark.parametrize("command", ["design-f", "feasible", "region", "validate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_MARKETS))
+def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, command, case):
+    text = MALFORMED_MARKETS[case]
+    path = tmp_path / "input.json"
+    path.write_text(_as_scheme(text) if command == "validate" else text)
+    window = ["--flo", "1", "--fhi", "2"]
+    argv = {
+        "design-f": ["design-f", "--market", str(path)],
+        "feasible": ["feasible", "--market", str(path), *window],
+        "region": ["region", "--market", str(path), *window, "--model", "passive"],
+        "validate": ["validate", "--scheme", str(path), *window, "--model", "passive"],
+    }[command]
+    assert main(argv) == 1
+    _single_error(capsys)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from segmarket import (
     Market,
@@ -79,6 +80,36 @@ def test_market_arithmetic(m1):
         half.minus(m1)
     with pytest.raises(ValueError):
         m1.scaled(Fraction(-1))
+
+
+def test_minus_raises_on_negative_mass(m1):
+    for i in range(len(m1.grid)):
+        over = [Fraction(0)] * len(m1.grid)
+        over[i] = m1.masses[i] + F("1/100")
+        with pytest.raises(ValueError, match="negative mass"):
+            m1.minus(Market(m1.grid, tuple(over)))
+    assert m1.minus(m1).is_zero()
+    gap = market([1, 2, 3, 6], [0, "0.20", 0, "0.26"])
+    with pytest.raises(ValueError, match="negative mass"):
+        gap.minus(market([1, 2, 3, 6], [0, "0.10", "0.01", 0]))
+
+
+def test_derived_markets_equal_validated_ones(m1):
+    half = m1.scaled(F("1/2"))
+    gamma, piece = largest_dominated_er(m1, (0, 2, 3))
+    derived = [
+        half,
+        m1.minus(half),
+        half.plus(half),
+        zero_market(m1.grid),
+        equal_revenue_market(m1.grid, (1, 3)),
+        piece,
+        m1.minus(piece),
+    ]
+    for d in derived:
+        built = Market(grid(m1.grid.values), d.masses)
+        assert d == built and hash(d) == hash(built)
+        assert all(isinstance(x, Fraction) for x in d.masses)
 
 
 def test_zero_market(m1):
@@ -284,3 +315,47 @@ def test_largest_dominated_er_fits_under_cap(mw):
     residual = m.minus(piece)  # raises if the slice overshoots
     binding = any(residual.masses[i] == 0 for i in m.support())
     assert binding
+
+
+def _dense_equal_revenue(g, support):
+    """The unit equal-revenue masses written out over the whole grid."""
+    idx = sorted(set(support))
+    low = g[idx[0]]
+    out = [Fraction(0)] * len(g)
+    for k, i in enumerate(idx):
+        if k + 1 == len(idx):
+            out[i] = low / g[i]
+        else:
+            out[i] = low * (1 / g[i] - 1 / g[idx[k + 1]])
+    return out
+
+
+@st.composite
+def markets_with_support(draw):
+    m = draw(small_markets())
+    n = len(m.grid)
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    return m, support
+
+
+@given(markets_with_support())
+def test_equal_revenue_market_matches_the_reciprocal_formula(ms):
+    m, support = ms
+    er = equal_revenue_market(m.grid, support)
+    assert list(er.masses) == _dense_equal_revenue(m.grid, support)
+    assert er.support() == tuple(sorted(set(support)))
+
+
+@given(
+    markets_with_support(),
+    st.lists(st.fractions(min_value=0, max_value=2, max_denominator=50), max_size=2),
+)
+def test_largest_dominated_er_matches_the_dense_formula(ms, extra):
+    m, support = ms
+    unit = _dense_equal_revenue(m.grid, support)
+    bounds = [m.masses[i] / unit[i] for i in range(len(m.grid)) if unit[i] > 0]
+    gamma = min(bounds + extra)
+    got_gamma, piece = largest_dominated_er(m, support, extra)
+    assert got_gamma == gamma
+    assert list(piece.masses) == [u * gamma for u in unit]
+    assert m.minus(piece).masses == tuple(a - b for a, b in zip(m.masses, piece.masses))

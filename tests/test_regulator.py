@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from segmarket import PriceWindow, market, opt_prices
-from segmarket.errors import BadRange, HypothesisViolated
+from segmarket.errors import BadRange, HypothesisViolated, ZeroMarket
 from segmarket.lp import oracle_feasible
 from segmarket.passive import is_feasible, min_consumer_surplus
 from segmarket.regulator import (
@@ -67,6 +68,40 @@ def test_design_prefix_window_trivial_cases():
     assert design_prefix_window(u9) == PriceWindow(0, 3)  # values 1..4
 
 
+def _linear_prefix(m):
+    """Reference designer: the first feasible prefix, scanning upward."""
+    for hi in range(len(m.grid)):
+        if is_feasible(m, PriceWindow(0, hi)):
+            return PriceWindow(0, hi)
+    raise AssertionError("the full grid window is always feasible")
+
+
+def test_design_prefix_window_matches_a_linear_scan_on_uniforms():
+    for top in range(1, 41):
+        m = uniform_market(1, top)
+        assert design_prefix_window(m) == _linear_prefix(m), top
+
+
+def test_design_prefix_window_matches_a_linear_scan_on_random_markets():
+    rng = random.Random(5150)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        values = sorted(rng.sample(range(1, 400), n))
+        grid_values = [Fraction(v, rng.choice((1, 2, 3, 7))) for v in values]
+        grid_values = sorted(set(grid_values))
+        masses = [Fraction(rng.choice((0, 0, 1, 3, 17)), rng.randint(1, 90)) for _ in grid_values]
+        if not any(masses):
+            masses[-1] = Fraction(1)
+        m = market(grid_values, masses)
+        assert design_prefix_window(m) == _linear_prefix(m), m
+
+
+@pytest.mark.parametrize("m", [market([1], [0]), market([1, 2], [0, 0])])
+def test_design_prefix_window_rejects_zero_markets(m):
+    with pytest.raises(ZeroMarket):
+        design_prefix_window(m)
+
+
 def test_uniform_market_shapes():
     m = uniform_market(1, 4)
     assert m.grid.values == (1, 2, 3, 4)
@@ -120,6 +155,10 @@ def test_sweep_counts_are_consistent():
 def test_sweep_pruned_equals_exhaustive():
     assert feasibility_sweep(9) == feasibility_sweep(9, exhaustive=True)
     assert feasibility_sweep(12) == feasibility_sweep(12, exhaustive=True)
+
+
+def test_sweep_pruned_equals_exhaustive_at_16():
+    assert feasibility_sweep(16) == feasibility_sweep(16, exhaustive=True)
 
 
 def test_sweep_respects_lows_selection():
