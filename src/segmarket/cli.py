@@ -244,8 +244,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.top > 49:
         sys.stderr.write(f"warning: top={args.top} may take several minutes\n")
     lows = None
-    if args.lows:
+    if args.lows is not None:
         lows = [int(tok) for tok in args.lows.split(",") if tok.strip()]
+        if not lows:
+            raise ValueError("--lows lists no number")
     rows = regulator.feasibility_sweep(args.top, lows, exhaustive=args.exhaustive)
     _write_or_print(serialize.sweep_to_csv(rows), args.out)
     return 0

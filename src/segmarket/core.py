@@ -9,17 +9,32 @@ price window constrains which grid values may be quoted.
 Everything here is a pure function over immutable data. All comparisons are
 exact; nothing is ever rounded.
 
+A market is stored as one primitive integer ray: mass ``i`` is
+``nums[i] / den`` with ``den > 0`` and ``gcd(*nums, den) == 1``, so every
+mass vector has exactly one ray and equality and hashing compare rays. The
+public ``Market.masses`` tuple of ``Fraction`` values is built from the ray
+on first read and cached; the peel arithmetic never reads it, so masses are
+built only at the edge (output, the LP and the active constructions). A grid
+keeps the integer reciprocals ``R_i = L / v_i``, where ``L`` is the lcm of
+the value numerators; the unit equal-revenue slice over an ascending support
+is then ``v_low / L`` times the integer vector ``R_s - R_next(s)`` (``R_top``
+at the top), and a peel costs integer products and gcds plus one
+``Fraction`` for its weight.
+
 Markets are validated where they enter: ``Market(...)`` and :func:`market`
-check the shape and the sign of the masses, and so does every market the
-``serialize`` decoders build. Markets that this module's own arithmetic
-derives from valid ones (sums, scalings, checked differences, equal-revenue
-slices) are nonnegative by construction and skip that second pass.
+check the shape and the sign of the masses in ``Market.__post_init__``, and
+so does every market the ``serialize`` decoders build. Markets that this
+module's own arithmetic derives from valid ones (sums, scalings, checked
+differences, equal-revenue slices) are nonnegative by construction and skip
+that second pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
@@ -35,7 +50,6 @@ from .rationals import as_rational
 Model = Literal["passive", "active"]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -66,17 +80,47 @@ class ValueGrid:
         except ValueError:
             raise ValueError(f"value {v} is not a grid entry") from None
 
+    def _reciprocals(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, R)`` with ``L`` the lcm of the value numerators and
+        ``R[i] = L / v_i``, an integer; computed on first use and kept on
+        this grid."""
+        cached = self.__dict__.get("_recips")
+        if cached is None:
+            big = lcm(*(v.numerator for v in self.values))
+            cached = (big, tuple(big // v.numerator * v.denominator for v in self.values))
+            object.__setattr__(self, "_recips", cached)
+        return cached
+
 
 def grid(values: Iterable[int | str | Fraction]) -> ValueGrid:
     return ValueGrid(tuple(as_rational(v) for v in values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Market:
-    """Nonnegative buyer mass at each grid value. Total mass need not be 1."""
+    """Nonnegative buyer mass at each grid value. Total mass need not be 1.
+
+    Held as the primitive integer ray ``(_nums, _den)`` described in the
+    module docstring, which equality and hashing compare; ``masses`` is its
+    ``Fraction`` view.
+    """
 
     grid: ValueGrid
-    masses: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
+    _masses: tuple[Fraction, ...] | None = field(compare=False)
+
+    def __init__(self, grid: ValueGrid, masses: Sequence[Fraction]) -> None:
+        _set = object.__setattr__
+        _set(self, "grid", grid)
+        _set(self, "_masses", tuple(masses))
+        self.__post_init__()
+        exact = [Fraction(x) for x in self._masses]
+        den = lcm(*(x.denominator for x in exact))
+        # each Fraction is in lowest terms, so this ray is already primitive
+        _set(self, "_nums", tuple(x.numerator * (den // x.denominator) for x in exact))
+        _set(self, "_den", den)
+        _set(self, "_masses", tuple(exact))
 
     def __post_init__(self) -> None:
         if len(self.masses) != len(self.grid):
@@ -84,47 +128,88 @@ class Market:
         if any(m < 0 for m in self.masses):
             raise ValueError("masses must be nonnegative")
 
-    def mass(self) -> Fraction:
-        return sum(self.masses, ZERO)
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        if self._masses is None:
+            den = self._den
+            object.__setattr__(self, "_masses", tuple(Fraction(n, den) for n in self._nums))
+        return self._masses
 
-    # masses are nonnegative, so a nonzero mass is a positive one and the
+    def _mass(self, i: int) -> Fraction:
+        """Mass at grid index *i*, without building the whole tuple."""
+        return Fraction(self._nums[i], self._den)
+
+    def __repr__(self) -> str:
+        return f"Market(grid={self.grid!r}, masses={self.masses!r})"
+
+    def mass(self) -> Fraction:
+        return Fraction(sum(self._nums), self._den)
+
+    # numerators are nonnegative, so a nonzero one is a positive one and the
     # two scans below test truth instead of comparing against zero
     def is_zero(self) -> bool:
-        return not any(self.masses)
+        return not any(self._nums)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.masses) if m)
+        # via a list: tuple() of an iterator of unknown length grows by
+        # resizing, and the tuple freelists keep what that allocates
+        return tuple(list(compress(range(len(self._nums)), self._nums)))
 
     def scaled(self, factor: Fraction) -> "Market":
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        return _derived(self.grid, tuple(m * factor for m in self.masses))
+        a = factor.numerator
+        return _ray(self.grid, [n * a for n in self._nums], self._den * factor.denominator)
 
     def minus(self, other: "Market") -> "Market":
         """Entrywise difference; only the entries where *other* carries mass
         are subtracted, and only those are checked for going negative."""
         _check_same_grid(self, other)
-        out = list(self.masses)
-        for i, b in enumerate(other.masses):
-            if b:
-                d = out[i] - b
-                if d < 0:
-                    raise ValueError("subtraction would leave negative mass")
-                out[i] = d
-        return _derived(self.grid, tuple(out))
+        out, b, den = _common(self, other)
+        for i in compress(range(len(b)), b):
+            d = out[i] - b[i]
+            if d < 0:
+                raise ValueError("subtraction would leave negative mass")
+            out[i] = d
+        return _ray(self.grid, out, den)
 
     def plus(self, other: "Market") -> "Market":
         _check_same_grid(self, other)
-        return _derived(self.grid, tuple(a + b for a, b in zip(self.masses, other.masses)))
+        out, b, den = _common(self, other)
+        for i in compress(range(len(b)), b):
+            out[i] += b[i]
+        return _ray(self.grid, out, den)
 
 
-def _derived(g: ValueGrid, masses: tuple[Fraction, ...]) -> Market:
-    """A market this module computed from valid ones, built without the
-    validation pass of ``Market(...)``."""
+def _common(a: Market, b: Market) -> tuple[list[int], Sequence[int], int]:
+    """The numerators of *a* (as a fresh list) and of *b* over the least
+    common denominator of the two rays, and that denominator."""
+    g = gcd(a._den, b._den)
+    sa, sb = b._den // g, a._den // g
+    out = list(a._nums) if sa == 1 else [n * sa for n in a._nums]
+    other = b._nums if sb == 1 else [n * sb for n in b._nums]
+    return out, other, a._den * sa
+
+
+def _derived(g: ValueGrid, nums: tuple[int, ...], den: int) -> Market:
+    """A market this module computed from valid ones, given as a primitive
+    ray and built without the validation pass of ``Market(...)``."""
     m = object.__new__(Market)
-    object.__setattr__(m, "grid", g)
-    object.__setattr__(m, "masses", masses)
+    _set = object.__setattr__
+    _set(m, "grid", g)
+    _set(m, "_nums", nums)
+    _set(m, "_den", den)
+    _set(m, "_masses", None)
     return m
+
+
+def _ray(g: ValueGrid, nums: list[int], den: int) -> Market:
+    """The derived market with masses ``nums[i] / den``, reduced to its
+    primitive ray; every numerator is nonnegative and *den* positive."""
+    d = gcd(den, *nums)
+    if d != 1:
+        return _derived(g, tuple([n // d for n in nums]), den // d)
+    return _derived(g, tuple(nums), den)
 
 
 def market(
@@ -135,12 +220,16 @@ def market(
 
 
 def zero_market(g: ValueGrid) -> Market:
-    return _derived(g, (ZERO,) * len(g))
+    return _derived(g, (0,) * len(g), 1)
 
 
 def _check_same_grid(a: Market, b: Market) -> None:
-    if a.grid.values != b.grid.values:
+    if a.grid is not b.grid and a.grid.values != b.grid.values:
         raise ValueError("markets live on different grids")
+
+
+def _same_masses(a: Market, b: Market) -> bool:
+    return a._den == b._den and a._nums == b._nums
 
 
 @dataclass(frozen=True)
@@ -216,24 +305,41 @@ def demand(m: Market, i: int) -> Fraction:
     """Mass willing to buy at price ``v_i``: everyone with value at least ``v_i``."""
     if not 0 <= i < len(m.grid):
         raise IndexError("price index outside the grid")
-    return sum(m.masses[i:], ZERO)
+    return Fraction(sum(m._nums[i:]), m._den)
 
 
 def revenue(m: Market, i: int) -> Fraction:
     return m.grid[i] * demand(m, i)
 
 
+def _best_prices(m: Market, lo: int, hi: int) -> tuple[Fraction, tuple[int, ...]]:
+    """The best single-price revenue over prices ``lo..hi`` and every index
+    attaining it, ascending, from one suffix pass over the ray.
+
+    Revenue at ``i`` is ``L * T_i / (R_i * den)`` with ``T_i`` the tail sum
+    of the numerators, so prices compare by cross-multiplying ``T_i / R_i``.
+    """
+    big, recips = m.grid._reciprocals()
+    nums = m._nums
+    tail = sum(nums[hi + 1 :])
+    best_t, best_r, ties = -1, 1, []
+    for i in range(hi, lo - 1, -1):
+        tail += nums[i]
+        r = recips[i]
+        c = tail * best_r - best_t * r
+        if c > 0:
+            best_t, best_r, ties = tail, r, [i]
+        elif c == 0:
+            ties.append(i)
+    ties.reverse()
+    return Fraction(big * best_t, best_r * m._den), tuple(ties)
+
+
 def opt_prices(m: Market) -> tuple[int, ...]:
     """All revenue-maximizing grid price indices, ties kept, ascending."""
     if m.is_zero():
         raise ZeroMarket("optimal prices are undefined on a zero market")
-    revs: list[Fraction] = [ZERO] * len(m.grid)
-    tail = ZERO
-    for i in range(len(m.grid) - 1, -1, -1):
-        tail += m.masses[i]
-        revs[i] = m.grid[i] * tail
-    best = max(revs)
-    return tuple(i for i, r in enumerate(revs) if r == best)
+    return _best_prices(m, 0, len(m.grid) - 1)[1]
 
 
 def opt_prices_in_window(m: Market, w: PriceWindow) -> tuple[int, ...]:
@@ -241,27 +347,26 @@ def opt_prices_in_window(m: Market, w: PriceWindow) -> tuple[int, ...]:
     if m.is_zero():
         raise ZeroMarket("optimal prices are undefined on a zero market")
     _check_window(m.grid, w)
-    revs = {i: revenue(m, i) for i in w.indices()}
-    best = max(revs.values())
-    return tuple(i for i in w.indices() if revs[i] == best)
+    return _best_prices(m, w.lo, w.hi)[1]
 
 
 def uniform_revenue(m: Market) -> Fraction:
     """Best revenue from a single posted price on the unsegmented market."""
     if m.is_zero():
         return ZERO
-    return max(revenue(m, i) for i in range(len(m.grid)))
+    return _best_prices(m, 0, len(m.grid) - 1)[0]
 
 
 def window_uniform_revenue(m: Market, w: PriceWindow) -> Fraction:
     """Best single-price revenue when the price must sit in the window."""
     _check_window(m.grid, w)
-    return max(revenue(m, i) for i in w.indices())
+    return _best_prices(m, w.lo, w.hi)[0]
 
 
 def tail_value(m: Market, lo: int) -> Fraction:
     """Total value held by buyers at grid index ``lo`` and above."""
-    return sum((m.masses[i] * m.grid[i] for i in range(lo, len(m.grid))), ZERO)
+    pairs = zip(m._nums[lo:], m.grid.values[lo:])
+    return sum((n * v for n, v in pairs if n), ZERO) / m._den
 
 
 def segment_surplus(seg: Segment) -> SurplusSummary:
@@ -284,7 +389,7 @@ def segment_surplus(seg: Segment) -> SurplusSummary:
 
 def scheme_surplus(scheme: MarketScheme) -> SurplusSummary:
     """Totals across segments; raises if the segments do not sum to the aggregate."""
-    if scheme.segments_total().masses != scheme.aggregate.masses:
+    if not _same_masses(scheme.segments_total(), scheme.aggregate):
         raise SegmentationMismatch("segments do not sum to the aggregate market")
     cs = ps = ZERO
     for seg in scheme.segments:
@@ -294,6 +399,35 @@ def scheme_surplus(scheme: MarketScheme) -> SurplusSummary:
     return SurplusSummary(cs, ps, cs + ps)
 
 
+def _unit_weights(g: ValueGrid, support: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The ascending support and the integer weights ``R_s - R_next(s)``
+    (``R_top`` at the top entry) to which the unit equal-revenue market over
+    it is proportional; every weight is positive."""
+    idx = sorted(set(support))
+    if not idx:
+        raise EmptySupport("equal-revenue market needs a non-empty support")
+    if idx[0] < 0 or idx[-1] >= len(g):
+        raise IndexError("support index outside the grid")
+    recips = g._reciprocals()[1]
+    weights = [recips[i] - recips[j] for i, j in zip(idx, idx[1:])]
+    weights.append(recips[idx[-1]])
+    return idx, weights
+
+
+def _spread(g: ValueGrid, idx: list[int], weights: list[int], num: int, den: int) -> Market:
+    """The market with mass ``weights[k] * num / den`` at each ``idx[k]``
+    and zero elsewhere; *num* is nonnegative and *den* positive. Reduced on
+    the support alone: with ``num / den`` in lowest terms the ray's gcd is
+    ``gcd(den, *weights)``."""
+    d = gcd(num, den)
+    num, den = num // d, den // d
+    d = gcd(den, *weights)
+    nums = [0] * len(g)
+    for i, u in zip(idx, weights):
+        nums[i] = u // d * num
+    return _derived(g, tuple(nums), den // d)
+
+
 def equal_revenue_market(g: ValueGrid, support: Iterable[int]) -> Market:
     """Unit-mass market over *support* whose revenue is flat across the support.
 
@@ -301,40 +435,12 @@ def equal_revenue_market(g: ValueGrid, support: Iterable[int]) -> Market:
     value is ``m/M`` and mass at any other supported value ``v`` is
     ``m * (1/v - 1/v')`` where ``v'`` is the next supported value above. Every
     supported price then earns revenue exactly ``m``, and prices off the
-    support earn strictly less.
+    support earn strictly less. In reciprocals that is ``m / L`` times the
+    weights of :func:`_unit_weights`.
     """
-    return _spread(g, _equal_revenue_entries(g, support), ONE)
-
-
-def _equal_revenue_entries(
-    g: ValueGrid, support: Iterable[int]
-) -> list[tuple[int, Fraction]]:
-    """The ``(index, mass)`` pairs of the unit equal-revenue market, in index
-    order; every mass is positive. ``m * (v' - v) / (v * v')`` is
-    ``m * (1/v - 1/v')`` exactly."""
-    idx = sorted(set(support))
-    if not idx:
-        raise EmptySupport("equal-revenue market needs a non-empty support")
-    if idx[0] < 0 or idx[-1] >= len(g):
-        raise IndexError("support index outside the grid")
-    m_low = g[idx[0]]
-    entries = []
-    for i, j in zip(idx, idx[1:]):
-        v, v_next = g[i], g[j]
-        entries.append((i, m_low * (v_next - v) / (v * v_next)))
-    entries.append((idx[-1], m_low / g[idx[-1]]))
-    return entries
-
-
-def _spread(
-    g: ValueGrid, entries: list[tuple[int, Fraction]], factor: Fraction
-) -> Market:
-    """The market with mass ``u * factor`` at each ``(i, u)`` of *entries*
-    and zero elsewhere; *factor* is nonnegative."""
-    masses = [ZERO] * len(g)
-    for i, u in entries:
-        masses[i] = u * factor
-    return _derived(g, tuple(masses))
+    idx, weights = _unit_weights(g, support)
+    low = g[idx[0]]
+    return _spread(g, idx, weights, low.numerator, low.denominator * g._reciprocals()[0])
 
 
 def largest_dominated_er(
@@ -348,18 +454,31 @@ def largest_dominated_er(
     equal-revenue market on the support, ``x <= cap`` coordinate-wise, gamma
     additionally at most every entry of *extra_caps*, and gamma maximal. At
     least one of the constraints holds with equality unless gamma is zero.
-    Only the supported entries are computed.
+    Only the supported entries are computed: the binding entry is the least
+    ``nums[i] / weight`` found by cross-multiplying, and its bound
+    ``nums[i] * L / (den * weight * v_low)`` is the one ``Fraction`` built.
     """
-    entries = _equal_revenue_entries(cap.grid, support)
-    bounds = [cap.masses[i] / u for i, u in entries]
+    g = cap.grid
+    idx, weights = _unit_weights(g, support)
+    nums = cap._nums
+    best_n, best_u = nums[idx[0]], weights[0]
+    for i, u in zip(idx[1:], weights[1:]):
+        n = nums[i]
+        if n * best_u < best_n * u:
+            best_n, best_u = n, u
+    low = g[idx[0]]
+    big = g._reciprocals()[0]
+    gamma = Fraction(best_n * big * low.denominator, cap._den * best_u * low.numerator)
     for b in extra_caps:
         if b < 0:
             raise NegativeBound("extraction bound must be nonnegative")
-        bounds.append(b)
-    gamma = min(bounds)
+        if b < gamma:
+            gamma = b
     if gamma < 0:
         raise InvariantViolation("extraction weight came out negative")
-    return gamma, _spread(cap.grid, entries, gamma)
+    # x = gamma * (v_low / L) * weights
+    num = gamma.numerator * low.numerator
+    return gamma, _spread(g, idx, weights, num, gamma.denominator * low.denominator * big)
 
 
 def standardize(scheme: MarketScheme, w: PriceWindow) -> MarketScheme:
@@ -411,7 +530,7 @@ def validate_scheme(scheme: MarketScheme, w: PriceWindow, model: Model) -> Valid
     _check_window(scheme.aggregate.grid, w)
     issues: list[ValidationIssue] = []
     total = scheme.segments_total()
-    if total.masses != scheme.aggregate.masses:
+    if not _same_masses(total, scheme.aggregate):
         issues.append(
             ValidationIssue(
                 None,

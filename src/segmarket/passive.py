@@ -118,7 +118,7 @@ def _seller_support(support: tuple[int, ...], w: PriceWindow) -> tuple[int, ...]
     if not inside:
         return None
     top = inside[-1]
-    return tuple(i for i in support if i == top or not w.lo <= i <= w.hi)
+    return tuple([i for i in support if i == top or not w.lo <= i <= w.hi])
 
 
 def _producer_steps(m: Market, w: PriceWindow) -> tuple[list[ExtractionStep], Market]:
@@ -212,18 +212,20 @@ def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
     guard = iteration_guard(len(m.grid))
     residual = m
     steps: list[ExtractionStep] = []
-    while any(residual.masses[i] > 0 for i in w.indices()):
+    # the support scan of _producer_steps: one per step decides whether the
+    # window still holds mass and gives the seller-favoring peel support
+    while (seller := _seller_support(full := residual.support(), w)) is not None:
         if len(steps) >= guard:
             raise NonTermination("consumer-optimal split exceeded its iteration guard")
         optimal = opt_prices(residual)
         if not any(i in w for i in optimal):
-            support = extraction_support(residual, w)
+            support = seller
             caps = _preservation_caps(residual, support, optimal)
             gamma, slice_market = largest_dominated_er(residual, support, caps)
             if gamma <= 0:
                 raise InvariantViolation("seller-favoring peel stalled")
         else:
-            support = residual.support()
+            support = full
             gamma, slice_market = largest_dominated_er(residual, support)
         price = min(i for i in support if i in w)
         residual = residual.minus(slice_market)
@@ -291,22 +293,19 @@ def _welfare_minimal(m: Market, w: PriceWindow, red: ReducedWindow) -> Segmentat
     guard = iteration_guard(len(m.grid))
     residual = m
     steps: list[ExtractionStep] = []
-    while any(residual.masses[i] > 0 for i in sub.indices()):
+    while (support := _seller_support(residual.support(), sub)) is not None:
         if len(steps) >= guard:
             raise NonTermination("welfare-minimal split exceeded its iteration guard")
-        support = extraction_support(residual, sub)
         top = max(i for i in support if i in sub)
         caps: list[Fraction] = []
         if top > red.floor:
             # price will sit above the floor: the floor value may join the
             # peel only with its reserve protected
-            if residual.masses[red.floor] > red.floor_mass:
+            at_floor = residual._mass(red.floor)
+            if at_floor > red.floor_mass:
                 support = tuple(sorted(set(support) | {red.floor}))
                 unit = equal_revenue_market(m.grid, support)
-                caps.append(
-                    (residual.masses[red.floor] - red.floor_mass)
-                    / unit.masses[red.floor]
-                )
+                caps.append((at_floor - red.floor_mass) / unit._mass(red.floor))
             price = top
         else:
             price = red.floor

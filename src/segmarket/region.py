@@ -26,6 +26,7 @@ from .core import (
     uniform_revenue,
 )
 from .errors import PointOutsideRegion
+from .rationals import rational_str
 
 Point = tuple[Fraction, Fraction]
 
@@ -144,7 +145,8 @@ def mix_for_point(
     red = passive.minimal_reduction(m, w) if model == "passive" else None
     region = _passive_region(m, w, red) if red is not None else active_region(m, w)
     if not region.contains(target):
-        raise PointOutsideRegion(f"{target} lies outside the {model} region")
+        cs, ps = (rational_str(x) for x in target)
+        raise PointOutsideRegion(f"({cs}, {ps}) lies outside the {model} region")
     spread = region.welfare_cap - region.v_min[0] - region.v_min[1]
     if spread == 0:
         weights = (Fraction(1), Fraction(0), Fraction(0))

@@ -1,0 +1,60 @@
+"""Equal-revenue peels written out densely in ``Fraction`` arithmetic.
+
+A reference for the integer-ray peels of ``segmarket.core``: every vector
+here is a list of ``Fraction`` masses over the whole grid, and the unit
+equal-revenue slice comes straight from the reciprocal formula
+``v_low * (1/v - 1/v')`` (``v_low / v_top`` at the top). Nothing here calls
+the library, so agreement means something.
+"""
+
+from fractions import Fraction
+
+
+def dense_equal_revenue(g, support):
+    """The unit equal-revenue masses written out over the whole grid."""
+    idx = sorted(set(support))
+    low = g[idx[0]]
+    out = [Fraction(0)] * len(g)
+    for k, i in enumerate(idx):
+        if k + 1 == len(idx):
+            out[i] = low / g[i]
+        else:
+            out[i] = low * (1 / g[i] - 1 / g[idx[k + 1]])
+    return out
+
+
+def dense_peel(g, masses, support):
+    """``(gamma, slice, residual)`` for the largest equal-revenue slice over
+    *support* that fits under *masses*."""
+    unit = dense_equal_revenue(g, support)
+    gamma = min(masses[i] / unit[i] for i in range(len(g)) if unit[i] > 0)
+    piece = [u * gamma for u in unit]
+    return gamma, piece, [a - b for a, b in zip(masses, piece)]
+
+
+def producer_steps(g, masses, lo, hi):
+    """Seller-favoring peels until no value in ``lo..hi`` holds mass: each
+    covers every supported value outside the window plus the top supported
+    one inside it, which is also its price. Returns the steps as
+    ``(support, gamma, price, slice, residual)`` and the remainder."""
+    residual = list(masses)
+    steps = []
+    while any(residual[i] > 0 for i in range(lo, hi + 1)):
+        held = [i for i, x in enumerate(residual) if x > 0]
+        top = max(i for i in held if lo <= i <= hi)
+        support = tuple(i for i in held if i == top or not lo <= i <= hi)
+        gamma, piece, residual = dense_peel(g, residual, support)
+        steps.append((support, gamma, top, piece, residual))
+    return steps, residual
+
+
+def unregulated_steps(g, masses):
+    """Peels over the whole remaining support, each priced at its cheapest
+    value, until nothing is left."""
+    residual = list(masses)
+    steps = []
+    while any(residual):
+        support = tuple(i for i, x in enumerate(residual) if x > 0)
+        gamma, piece, residual = dense_peel(g, residual, support)
+        steps.append((support, gamma, support[0], piece, residual))
+    return steps

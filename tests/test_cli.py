@@ -112,12 +112,21 @@ def test_point_command(m1_file, tmp_path, capsys, m1, w23):
     assert validate_scheme(scheme, w23, "passive").ok
 
 
-def test_point_outside_region(m1_file):
+def test_point_outside_region(m1_file, capsys):
     code = main([
         "point", "--market", m1_file, "--flo", "2", "--fhi", "3",
         "--model", "passive", "--cs", "0", "--ps", "0",
     ])
     assert code == 3
+    assert capsys.readouterr().err == "error: (0, 0) lies outside the passive region\n"
+    code = main([
+        "point", "--market", m1_file, "--flo", "2", "--fhi", "3",
+        "--model", "active", "--cs", "1e400", "--ps=-1/3",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Fraction(" not in err
+    assert err == f"error: (1{'0' * 400}, -1/3) lies outside the active region\n"
 
 
 def test_feasible_command(m1_file, capsys):
@@ -280,18 +289,34 @@ def _as_scheme(text):
     return '{"aggregate": ' + text + ', "segments": []}'
 
 
-@pytest.mark.parametrize("command", ["design-f", "feasible", "region", "validate"])
-@pytest.mark.parametrize("case", sorted(MALFORMED_MARKETS))
+# malformed --lows lists for sweep, which reads no market file
+MALFORMED_LOWS = {
+    "no-number": ",,",
+    "blank-tokens": " , ",
+    "non-integer": "3,x",
+    "out-of-range": "0",
+}
+
+MALFORMED_CASES = [
+    pytest.param(command, case, id=f"{case}-{command}")
+    for case in sorted(MALFORMED_MARKETS)
+    for command in ("design-f", "feasible", "region", "validate")
+] + [pytest.param("sweep", case, id=f"{case}-sweep") for case in sorted(MALFORMED_LOWS)]
+
+
+@pytest.mark.parametrize("command,case", MALFORMED_CASES)
 def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, command, case):
-    text = MALFORMED_MARKETS[case]
     path = tmp_path / "input.json"
-    path.write_text(_as_scheme(text) if command == "validate" else text)
+    if command != "sweep":
+        text = MALFORMED_MARKETS[case]
+        path.write_text(_as_scheme(text) if command == "validate" else text)
     window = ["--flo", "1", "--fhi", "2"]
     argv = {
         "design-f": ["design-f", "--market", str(path)],
         "feasible": ["feasible", "--market", str(path), *window],
         "region": ["region", "--market", str(path), *window, "--model", "passive"],
         "validate": ["validate", "--scheme", str(path), *window, "--model", "passive"],
+        "sweep": ["sweep", "--top", "3", "--lows", MALFORMED_LOWS.get(case, "")],
     }[command]
     assert main(argv) == 1
     _single_error(capsys)

@@ -35,6 +35,7 @@ from segmarket.errors import (
     ZeroMarket,
 )
 
+from peel_reference import dense_equal_revenue
 from strategies import markets_with_window, small_markets
 
 
@@ -317,19 +318,6 @@ def test_largest_dominated_er_fits_under_cap(mw):
     assert binding
 
 
-def _dense_equal_revenue(g, support):
-    """The unit equal-revenue masses written out over the whole grid."""
-    idx = sorted(set(support))
-    low = g[idx[0]]
-    out = [Fraction(0)] * len(g)
-    for k, i in enumerate(idx):
-        if k + 1 == len(idx):
-            out[i] = low / g[i]
-        else:
-            out[i] = low * (1 / g[i] - 1 / g[idx[k + 1]])
-    return out
-
-
 @st.composite
 def markets_with_support(draw):
     m = draw(small_markets())
@@ -342,7 +330,7 @@ def markets_with_support(draw):
 def test_equal_revenue_market_matches_the_reciprocal_formula(ms):
     m, support = ms
     er = equal_revenue_market(m.grid, support)
-    assert list(er.masses) == _dense_equal_revenue(m.grid, support)
+    assert list(er.masses) == dense_equal_revenue(m.grid, support)
     assert er.support() == tuple(sorted(set(support)))
 
 
@@ -352,7 +340,7 @@ def test_equal_revenue_market_matches_the_reciprocal_formula(ms):
 )
 def test_largest_dominated_er_matches_the_dense_formula(ms, extra):
     m, support = ms
-    unit = _dense_equal_revenue(m.grid, support)
+    unit = dense_equal_revenue(m.grid, support)
     bounds = [m.masses[i] / unit[i] for i in range(len(m.grid)) if unit[i] > 0]
     gamma = min(bounds + extra)
     got_gamma, piece = largest_dominated_er(m, support, extra)
