@@ -25,6 +25,7 @@ from .core import (
     PriceWindow,
     Segment,
     ZERO,
+    _ray,
     demand,
     tail_value,
     window_uniform_revenue,
@@ -72,59 +73,50 @@ def producer_optimal(m: Market, w: PriceWindow) -> MarketScheme:
     buyer's value up to the cap. One segment per window price, zeros kept.
     """
     _check_served(m, w)
-    g = m.grid
-    n = len(g)
-    segments: list[Segment] = []
     if len(w) == 1:
         return MarketScheme(m, (Segment(m, w.lo),))
-    for q in w.indices():
-        masses = [ZERO] * n
-        if q == w.lo:
-            for i in range(0, q + 1):
-                masses[i] = m.masses[i]
-        elif q == w.hi:
-            for i in range(q, n):
-                masses[i] = m.masses[i]
-        else:
-            masses[q] = m.masses[q]
-        segments.append(Segment(Market(g, tuple(masses)), q))
-    return MarketScheme(m, tuple(segments))
+    last = len(m.grid) - 1
+    return MarketScheme(m, tuple(
+        Segment(_part(m, 0 if q == w.lo else q, last if q == w.hi else q), q)
+        for q in w.indices()
+    ))
+
+
+def _part(m: Market, lo: int, hi: int) -> Market:
+    """*m* on the indices ``lo..hi`` and zero elsewhere, cut from its ray."""
+    nums = [0] * len(m.grid)
+    nums[lo : hi + 1] = m._nums[lo : hi + 1]
+    return _ray(m.grid, nums, m._den)
 
 
 def collapse_to_window(m: Market, w: PriceWindow) -> Market:
     """Project the market onto the window: zero below the floor, window
     interior kept as is, all demand at the cap parked on the cap value."""
     _check_served(m, w)
-    masses = [ZERO] * len(m.grid)
-    for i in range(w.lo, w.hi):
-        masses[i] = m.masses[i]
-    masses[w.hi] = demand(m, w.hi)
-    return Market(m.grid, tuple(masses))
+    nums = [0] * len(m.grid)
+    nums[w.lo : w.hi] = m._nums[w.lo : w.hi]
+    nums[w.hi] = sum(m._nums[w.hi :])
+    return _ray(m.grid, nums, m._den)
 
 
 def _lifted_split(m: Market, w: PriceWindow, favor: str) -> MarketScheme:
-    collapsed = collapse_to_window(m, w)
-    run = unregulated_consumer_optimal(collapsed)
-    cap_demand = demand(m, w.hi)
-    g = m.grid
-    n = len(g)
+    run = unregulated_consumer_optimal(collapse_to_window(m, w))
+    lo, hi, whole, den = w.lo, w.hi, m._nums, m._den
+    cap = sum(whole[hi:]) or 1  # demand at the cap, over den; 0 parks nothing
     segments: list[Segment] = []
     for k, step in enumerate(run.steps):
         piece = step.segment.market
-        masses = [ZERO] * n
-        for i in range(w.lo, w.hi):
-            masses[i] = piece.masses[i]
-        parked = piece.masses[w.hi]
-        if parked > 0:
-            # spread the parked mass over the true tail, pro rata
-            for i in range(w.hi, n):
-                masses[i] = parked * m.masses[i] / cap_demand
+        # every mass of the lifted piece over piece._den * cap * den
+        nums, scale = [0] * len(m.grid), piece._den * cap
         if k == 0:
-            for i in range(0, w.lo):
-                masses[i] = m.masses[i]
+            nums[:lo] = [x * scale for x in whole[:lo]]
+        nums[lo:hi] = [x * cap * den for x in piece._nums[lo:hi]]
+        if parked := piece._nums[hi]:
+            # spread the parked mass over the true tail, pro rata
+            nums[hi:] = [parked * x * den for x in whole[hi:]]
         support = piece.support()
         price = support[0] if favor == "consumer" else support[-1]
-        segments.append(Segment(Market(g, tuple(masses)), price))
+        segments.append(Segment(_ray(m.grid, nums, scale * den), price))
     return MarketScheme(m, tuple(segments))
 
 

@@ -7,17 +7,23 @@ share one move: repeatedly peel off the largest equal-revenue slice over a
 carefully chosen support, so that the instructed price ties for optimal and
 the leftover market keeps the structure the next step needs.
 
-Every function is exact and deterministic. Extraction loops carry an
-iteration guard (``2n + 2`` by default, override with the
-``SEGMARKET_MAX_ITERS`` environment variable) that turns a logic error into a
+One driver runs every such loop: each construction hands it a policy that
+picks the peel support, extra caps on the peel weight and the price, and
+step objects are built only for the constructions that return a run.
+
+Every function is exact and deterministic. The driver carries an iteration
+guard (``2n + 2`` by default, override with the ``SEGMARKET_MAX_ITERS``
+environment variable) that turns a logic error into a
 :class:`~segmarket.errors.NonTermination` instead of a hang.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from . import lp
 from .core import (
@@ -25,7 +31,6 @@ from .core import (
     MarketScheme,
     PriceWindow,
     Segment,
-    ZERO,
     equal_revenue_market,
     largest_dominated_er,
     opt_prices,
@@ -33,7 +38,6 @@ from .core import (
     standardize,
     tail_value,
     uniform_revenue,
-    zero_market,
 )
 from .errors import (
     InfeasibleWindow,
@@ -76,6 +80,53 @@ class SegmentationRun:
     steps: tuple[ExtractionStep, ...]
 
 
+# A peel policy maps the residual and its ascending support (which the driver
+# edits in place) to the next peel, as a new support list, extra caps on the
+# weight and a price; or to None to stop.
+_Pick = Callable[[Market, list], "tuple[list, Sequence[Fraction], int] | None"]
+
+
+def _peel(m: Market, what: str, pick: _Pick, steps: list[ExtractionStep] | None = None) -> Market:
+    """Peel *m* as *pick* directs, one :func:`core.largest_dominated_er`
+    call per peel, and return the remainder; steps go to *steps* if given.
+
+    A peel can empty only entries of its own support, so the support list
+    is carried from peel to peel instead of rescanned from the grid.
+    """
+    guard = iteration_guard(len(m.grid))
+    residual = m
+    full = list(m.support())
+    done = 0
+    while (choice := pick(residual, full)) is not None:
+        if done >= guard:
+            raise NonTermination(f"{what} split exceeded its iteration guard")
+        done += 1
+        support, caps, price = choice
+        gamma, piece = largest_dominated_er(residual, support, caps)
+        if not gamma:
+            raise InvariantViolation(f"{what} peel stalled")
+        residual = residual.minus(piece)
+        if steps is not None:
+            steps.append(ExtractionStep(tuple(support), gamma, Segment(piece, price), residual))
+        nums = residual._nums
+        for i in support:
+            if not nums[i]:
+                full.remove(i)
+    return residual
+
+
+def _seller_peel(full: Sequence[int], w: PriceWindow) -> tuple[list[int], tuple, int] | None:
+    """The seller-favoring peel over an ascending support *full*: every entry
+    outside the window plus the top one inside it, no extra caps, priced at
+    that top entry; None when no window value carries mass."""
+    a = bisect_left(full, w.lo)
+    b = bisect_right(full, w.hi, a)
+    if a == b:
+        return None
+    top = full[b - 1]
+    return [*full[:a], top, *full[b:]], (), top
+
+
 def unregulated_consumer_optimal(m: Market) -> SegmentationRun:
     """Consumer-optimal segmentation with no price regulation.
 
@@ -87,57 +138,21 @@ def unregulated_consumer_optimal(m: Market) -> SegmentationRun:
     """
     if m.is_zero():
         raise ZeroMarket("cannot segment a market with no buyers")
-    guard = iteration_guard(len(m.grid))
-    residual = m
     steps: list[ExtractionStep] = []
-    while not residual.is_zero():
-        if len(steps) >= guard:
-            raise NonTermination("unregulated split exceeded its iteration guard")
-        support = residual.support()
-        gamma, slice_market = largest_dominated_er(residual, support)
-        segment = Segment(slice_market, support[0])
-        residual = residual.minus(slice_market)
-        steps.append(ExtractionStep(support, gamma, segment, residual))
+    remainder = _peel(
+        m, "unregulated", lambda _, full: (full[:], (), full[0]) if full else None, steps
+    )
     scheme = MarketScheme(m, tuple(s.segment for s in steps))
-    return SegmentationRun(scheme, zero_market(m.grid), tuple(steps))
+    return SegmentationRun(scheme, remainder, tuple(steps))
 
 
 def extraction_support(m: Market, w: PriceWindow) -> tuple[int, ...]:
     """Support for a seller-favoring peel: everything outside the window plus
     only the highest in-window supported value."""
-    support = _seller_support(m.support(), w)
-    if support is None:
+    peel = _seller_peel(m.support(), w)
+    if peel is None:
         raise NoSupportInWindow("no buyer mass at any window value")
-    return support
-
-
-def _seller_support(support: tuple[int, ...], w: PriceWindow) -> tuple[int, ...] | None:
-    """The seller-favoring peel support drawn from a market's ascending
-    *support*, or None when no window value carries mass."""
-    inside = [i for i in support if w.lo <= i <= w.hi]
-    if not inside:
-        return None
-    top = inside[-1]
-    return tuple([i for i in support if i == top or not w.lo <= i <= w.hi])
-
-
-def _producer_steps(m: Market, w: PriceWindow) -> tuple[list[ExtractionStep], Market]:
-    guard = iteration_guard(len(m.grid))
-    residual = m
-    steps: list[ExtractionStep] = []
-    # one support scan per step decides both whether the window still holds
-    # mass and what the next peel covers; the peel's only window index is
-    # its top in-window value, which is also its price
-    while (support := _seller_support(residual.support(), w)) is not None:
-        if len(steps) >= guard:
-            raise NonTermination("producer-optimal split exceeded its iteration guard")
-        gamma, slice_market = largest_dominated_er(residual, support)
-        price = next(i for i in support if i in w)
-        residual = residual.minus(slice_market)
-        steps.append(
-            ExtractionStep(support, gamma, Segment(slice_market, price), residual)
-        )
-    return steps, residual
+    return tuple(peel[0])
 
 
 def producer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
@@ -151,11 +166,10 @@ def producer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
     """
     if m.is_zero():
         raise ZeroMarket("cannot segment a market with no buyers")
-    steps, remainder = _producer_steps(m, w)
+    steps: list[ExtractionStep] = []
+    remainder = _peel(m, "producer-optimal", lambda _, full: _seller_peel(full, w), steps)
     covered = m.minus(remainder)
-    scheme = standardize(
-        MarketScheme(covered, tuple(s.segment for s in steps)), w
-    )
+    scheme = standardize(MarketScheme(covered, tuple(s.segment for s in steps)), w)
     return SegmentationRun(scheme, remainder, tuple(steps))
 
 
@@ -163,16 +177,16 @@ def is_feasible(m: Market, w: PriceWindow) -> bool:
     """Whether some passive segmentation prices every buyer inside the window.
 
     The producer-optimal peel is greedy-complete: it leaves a zero remainder
-    if and only if any full segmentation exists.
+    if and only if any full segmentation exists. Only that remainder is
+    computed; no step is kept.
     """
     if m.is_zero():
         raise ZeroMarket("feasibility is undefined for a market with no buyers")
-    _, remainder = _producer_steps(m, w)
-    return remainder.is_zero()
+    return _peel(m, "producer-optimal", lambda _, full: _seller_peel(full, w)).is_zero()
 
 
 def _preservation_caps(
-    residual: Market, support: tuple[int, ...], optimal: tuple[int, ...]
+    residual: Market, support: list[int], optimal: tuple[int, ...], full: list[int]
 ) -> list[Fraction]:
     """Caps on the peel weight keeping every currently optimal price optimal.
 
@@ -184,15 +198,12 @@ def _preservation_caps(
     """
     unit = equal_revenue_market(residual.grid, support)
     flat = revenue(unit, support[0])
-    caps: list[Fraction] = []
-    outside = [j for j in residual.support() if j not in support]
-    for i in optimal:
-        for j in outside:
-            caps.append(
-                (revenue(residual, i) - revenue(residual, j))
-                / (flat - revenue(unit, j))
-            )
-    return caps
+    outside = [j for j in full if j not in support]
+    return [
+        (revenue(residual, i) - revenue(residual, j)) / (flat - revenue(unit, j))
+        for i in optimal
+        for j in outside
+    ]
 
 
 def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
@@ -208,33 +219,24 @@ def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
     """
     if not is_feasible(m, w):
         raise InfeasibleWindow("window cannot price every buyer passively")
-    base_optimal = set(opt_prices(m))
-    guard = iteration_guard(len(m.grid))
-    residual = m
-    steps: list[ExtractionStep] = []
-    # the support scan of _producer_steps: one per step decides whether the
-    # window still holds mass and gives the seller-favoring peel support
-    while (seller := _seller_support(full := residual.support(), w)) is not None:
-        if len(steps) >= guard:
-            raise NonTermination("consumer-optimal split exceeded its iteration guard")
+    base = set(opt_prices(m))
+
+    def pick(residual: Market, full: list[int]):
+        if not full:
+            return None
         optimal = opt_prices(residual)
-        if not any(i in w for i in optimal):
-            support = seller
-            caps = _preservation_caps(residual, support, optimal)
-            gamma, slice_market = largest_dominated_er(residual, support, caps)
-            if gamma <= 0:
-                raise InvariantViolation("seller-favoring peel stalled")
-        else:
-            support = full
-            gamma, slice_market = largest_dominated_er(residual, support)
-        price = min(i for i in support if i in w)
-        residual = residual.minus(slice_market)
-        steps.append(
-            ExtractionStep(support, gamma, Segment(slice_market, price), residual)
-        )
-        if not residual.is_zero() and not base_optimal <= set(opt_prices(residual)):
+        if not base <= set(optimal):
             raise InvariantViolation("peel disturbed the optimal-price set")
-    return _finished(m, w, residual, steps)
+        peel = _seller_peel(full, w)
+        if peel is None:
+            return None
+        if any(i in w for i in optimal):
+            return full[:], (), full[bisect_left(full, w.lo)]
+        seller, _, top = peel
+        return seller, _preservation_caps(residual, seller, optimal, full), top
+
+    steps: list[ExtractionStep] = []
+    return _finished(m, w, _peel(m, "consumer-optimal", pick, steps), steps)
 
 
 def _finished(
@@ -267,6 +269,14 @@ class ReducedWindow:
 
 
 def minimal_reduction(m: Market, w: PriceWindow) -> ReducedWindow:
+    """The reduced window of *w*: its highest floor ``f`` with ``{f..hi}``
+    feasible, found by scanning ``f`` down from ``hi``, and the least
+    value-``f`` mass sold at price ``f``, from
+    :func:`~segmarket.lp.oracle_min_floor_mass`.
+
+    Raises :class:`~segmarket.errors.InfeasibleWindow` when no floor works,
+    that is when *w* itself is infeasible.
+    """
     for floor in range(w.hi, w.lo - 1, -1):
         if is_feasible(m, PriceWindow(floor, w.hi)):
             floor_mass = lp.oracle_min_floor_mass(m, w, floor)
@@ -289,32 +299,24 @@ def welfare_minimal(m: Market, w: PriceWindow) -> SegmentationRun:
 
 
 def _welfare_minimal(m: Market, w: PriceWindow, red: ReducedWindow) -> SegmentationRun:
-    sub = red.reduced()
-    guard = iteration_guard(len(m.grid))
-    residual = m
+    sub, floor, reserve = red.reduced(), red.floor, red.floor_mass
+
+    def pick(residual: Market, full: list[int]):
+        peel = _seller_peel(full, sub)
+        if peel is None or peel[2] == floor:
+            return peel
+        # priced above the floor: the floor value may join the peel only
+        # with its reserve protected
+        at_floor = residual._mass(floor)
+        if at_floor <= reserve:
+            return peel
+        support, _, top = peel
+        insort(support, floor)
+        unit = equal_revenue_market(m.grid, support)
+        return support, [(at_floor - reserve) / unit._mass(floor)], top
+
     steps: list[ExtractionStep] = []
-    while (support := _seller_support(residual.support(), sub)) is not None:
-        if len(steps) >= guard:
-            raise NonTermination("welfare-minimal split exceeded its iteration guard")
-        top = max(i for i in support if i in sub)
-        caps: list[Fraction] = []
-        if top > red.floor:
-            # price will sit above the floor: the floor value may join the
-            # peel only with its reserve protected
-            at_floor = residual._mass(red.floor)
-            if at_floor > red.floor_mass:
-                support = tuple(sorted(set(support) | {red.floor}))
-                unit = equal_revenue_market(m.grid, support)
-                caps.append((at_floor - red.floor_mass) / unit._mass(red.floor))
-            price = top
-        else:
-            price = red.floor
-        gamma, slice_market = largest_dominated_er(residual, support, caps)
-        residual = residual.minus(slice_market)
-        steps.append(
-            ExtractionStep(support, gamma, Segment(slice_market, price), residual)
-        )
-    return _finished(m, w, residual, steps)
+    return _finished(m, w, _peel(m, "welfare-minimal", pick, steps), steps)
 
 
 def min_consumer_surplus(m: Market, w: PriceWindow) -> Fraction:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from math import lcm
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Market,
@@ -40,10 +43,25 @@ def sufficient_condition(m: Market, w: PriceWindow) -> bool:
         raise HypothesisViolated("screening test needs a unique unregulated price")
     if optimal[0] in w:
         raise HypothesisViolated("screening test needs the optimal price outside the window")
-    g = m.grid
-    lhs = sum((m.masses[j] * g[j] for j in w.indices()), ZERO)
-    lhs += g[w.lo] * sum(m.masses[w.hi + 1 :], ZERO)
-    return lhs >= uniform_revenue(m)
+    return _screen(m)(w.lo, w.hi)
+
+
+def _screen(m: Market) -> Callable[[int, int], bool]:
+    """The inequality of :func:`sufficient_condition` for window ``lo..hi``,
+    in integers: values times the lcm ``q`` of their denominators, masses
+    times the ray's denominator, and the benchmark times both."""
+    q = lcm(*(v.denominator for v in m.grid.values))
+    values = [v.numerator * (q // v.denominator) for v in m.grid.values]
+    value_prefix = [0, *accumulate(map(mul, m._nums, values))]
+    mass_suffix = [*accumulate(reversed(m._nums))][::-1] + [0]
+    target = uniform_revenue(m) * (m._den * q)
+    num, den = target.numerator, target.denominator
+
+    def passes(lo: int, hi: int) -> bool:
+        lhs = value_prefix[hi + 1] - value_prefix[lo] + values[lo] * mass_suffix[hi + 1]
+        return lhs * den >= num
+
+    return passes
 
 
 def design_prefix_window(m: Market) -> PriceWindow:
@@ -123,25 +141,13 @@ def _census(m: Market, exhaustive: bool) -> tuple[int, int, int, bool]:
                 runs.append((start, i - 1))
                 start = None
     n_sets = n_feasible = n_sufficient = 0
-    g = m.grid
-    # prefix sums for the screening inequality
-    value_prefix = [ZERO]
-    mass_suffix = [ZERO] * (n + 1)
-    for i in range(n):
-        value_prefix.append(value_prefix[-1] + m.masses[i] * g[i])
-    for i in range(n - 1, -1, -1):
-        mass_suffix[i] = mass_suffix[i + 1] + m.masses[i]
-    benchmark = uniform_revenue(m)
+    passes = _screen(m)
     for a, b in runs:
         size = b - a + 1
         n_sets += size * (size + 1) // 2
         if not ties:
-            for lo in range(a, b + 1):
-                for hi in range(lo, b + 1):
-                    lhs = value_prefix[hi + 1] - value_prefix[lo]
-                    lhs += g[lo] * mass_suffix[hi + 1]
-                    if lhs >= benchmark:
-                        n_sufficient += 1
+            windows = ((lo, hi) for lo in range(a, b + 1) for hi in range(lo, b + 1))
+            n_sufficient += sum(passes(lo, hi) for lo, hi in windows)
         if exhaustive:
             for lo in range(a, b + 1):
                 for hi in range(lo, b + 1):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from segmarket.passive import (
     unregulated_consumer_optimal,
     welfare_minimal,
 )
+from segmarket.regulator import uniform_market
 
 from strategies import markets_with_window
 
@@ -216,6 +218,10 @@ def test_nontermination_guard_trips(m1, w23, monkeypatch):
         unregulated_consumer_optimal(m1)
     with pytest.raises(NonTermination):
         producer_optimal(m1, w23)
+    with pytest.raises(NonTermination):
+        is_feasible(m1, w23)
+    with pytest.raises(NonTermination):
+        consumer_optimal(m1, w23)
 
 
 def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
@@ -230,6 +236,40 @@ def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
     monkeypatch.setattr(passive, "largest_dominated_er", stalled)
     with pytest.raises(InvariantViolation, match="stalled"):
         consumer_optimal(m1, w23)
+
+
+def _revenue_upper_bound(m, w):
+    """The most any segmentation priced inside *w* can earn: every window
+    buyer pays their value and every buyer above the window the cap price."""
+    g = m.grid
+    inside = sum((m.masses[i] * g[i] for i in w.indices()), F(0))
+    return inside + g[w.hi] * sum(m.masses[w.hi + 1 :], F(0))
+
+
+def _bounded_windows(m):
+    """Every window of *m* and whether it fails the revenue upper bound."""
+    n, base = len(m.grid), uniform_revenue(m)
+    for lo in range(n):
+        for hi in range(lo, n):
+            w = PriceWindow(lo, hi)
+            yield w, _revenue_upper_bound(m, w) < base
+
+
+def test_windows_failing_the_revenue_bound_are_infeasible():
+    """A passive scheme earns at least the single-price revenue, so a window
+    whose revenue upper bound falls short of it cannot be feasible."""
+    rng = random.Random(1313)
+    markets = [uniform_market(1, top) for top in range(1, 15)]
+    for _ in range(100):
+        values = sorted(rng.sample(range(1, 80), rng.randint(2, 8)))
+        markets.append(market(values, [F(rng.randint(0, 9), 20) for _ in values[:-1]] + ["1/20"]))
+    decided = 0
+    for m in markets:
+        for w, fails in _bounded_windows(m):
+            if fails:
+                decided += 1
+                assert not is_feasible(m, w), (m, w)
+    assert decided > 500
 
 
 @given(markets_with_window())

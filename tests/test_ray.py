@@ -4,9 +4,10 @@ Every peel step of ``producer_optimal`` and ``unregulated_consumer_optimal``
 must match ``peel_reference`` exactly (support, gamma, price, segment masses
 and residual masses) on every window of uniform 1..R for R <= 12 and on
 seeded random markets with ~10^30 mass denominators and non-integer grid
-values. The remaining tests pin the ray's canonical form: markets built by
-``Market(...)`` and derived ones compare and hash alike, every zero market is
-the same, and ``minus`` still refuses to go negative.
+values, and ``is_feasible`` must say feasible exactly when the reference
+remainder is zero. The remaining tests pin the ray's canonical form:
+markets built by ``Market(...)`` and derived ones compare and hash alike,
+every zero market is the same, and ``minus`` still refuses to go negative.
 """
 
 import random
@@ -24,7 +25,7 @@ from segmarket import (
     market,
     zero_market,
 )
-from segmarket.passive import producer_optimal, unregulated_consumer_optimal
+from segmarket.passive import is_feasible, producer_optimal, unregulated_consumer_optimal
 from segmarket.regulator import uniform_market
 
 from peel_reference import producer_steps, unregulated_steps
@@ -51,13 +52,15 @@ def _check_canonical(m):
 
 def _check_market(m, windows):
     """Producer peels on each window and the unregulated peels match the
-    dense reference step by step, with every derived market canonical."""
+    dense reference step by step, with every derived market canonical, and
+    the remainder-only ``is_feasible`` agrees with the reference remainder."""
     g = m.grid
     for w in windows:
         run = producer_optimal(m, w)
         ref, remainder = producer_steps(g, m.masses, w.lo, w.hi)
         assert _steps(run) == ref
         assert list(run.remainder.masses) == remainder
+        assert is_feasible(m, w) == (not any(remainder))
         for s in run.steps:
             _check_canonical(s.segment.market)
             _check_canonical(s.residual)
