@@ -48,14 +48,13 @@ from .errors import (
     InvariantViolation,
     NegativeBound,
     NonTermination,
-    NoSupportInWindow,
     PointOutsideRegion,
     PriceOutsideWindow,
     SegmarketError,
     SegmentationMismatch,
     ZeroMarket,
 )
-from .rationals import as_rational, decimal_str, rational_str
+from .rationals import as_rational, decimal_str
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from .core import (
     PriceWindow,
     Segment,
     ZERO,
+    _check_window,
     _ray,
     demand,
     tail_value,
@@ -35,8 +36,7 @@ from .passive import unregulated_consumer_optimal
 
 
 def _check_served(m: Market, w: PriceWindow) -> None:
-    if w.hi >= len(m.grid):
-        raise ValueError("window exceeds the grid")
+    _check_window(m.grid, w)
     if demand(m, w.lo) == 0:
         raise EmptyAboveFloor("no buyer mass at or above the window floor")
 

@@ -23,15 +23,12 @@ from .core import (
     validate_scheme,
 )
 from .errors import (
-    BadRange,
     EmptyAboveFloor,
     InfeasibleWindow,
-    NoSupportInWindow,
     PointOutsideRegion,
     SegmarketError,
-    ZeroMarket,
 )
-from .rationals import as_rational, decimal_str, rational_str
+from .rationals import as_rational, decimal_str
 
 USAGE_ERROR = 1
 INFEASIBLE = 2
@@ -104,7 +101,6 @@ def _new_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="feasibility census over uniform markets")
     p.add_argument("--top", type=int, required=True, help="highest grid value R")
     p.add_argument("--lows", help="comma-separated list of lows (default 1..R)")
-    p.add_argument("--exhaustive", action="store_true", help="skip monotonicity pruning")
     p.add_argument("--allow-large", action="store_true", help="permit top > 49")
     p.add_argument("--out", help="write the CSV here")
 
@@ -162,9 +158,9 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _surplus_line(s: SurplusSummary) -> str:
     return (
-        f"CS={rational_str(s.cs)} ({decimal_str(s.cs)}) "
-        f"PS={rational_str(s.ps)} ({decimal_str(s.ps)}) "
-        f"SW={rational_str(s.sw)} ({decimal_str(s.sw)})"
+        f"CS={s.cs} ({decimal_str(s.cs)}) "
+        f"PS={s.ps} ({decimal_str(s.ps)}) "
+        f"SW={s.sw} ({decimal_str(s.sw)})"
     )
 
 
@@ -213,10 +209,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     target = (as_rational(args.cs), as_rational(args.ps))
     mixed = region.mix_for_point(m, w, target, args.model, merge=args.merge)
     names = ("min", "seller", "buyer")
-    print(
-        "weights: "
-        + " ".join(f"{n}={rational_str(v)}" for n, v in zip(names, mixed.weights))
-    )
+    print("weights: " + " ".join(f"{n}={v}" for n, v in zip(names, mixed.weights)))
     _write_or_print(serialize.dumps(serialize.scheme_to_obj(mixed.scheme)), args.out)
     return 0
 
@@ -248,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lows = [int(tok) for tok in args.lows.split(",") if tok.strip()]
         if not lows:
             raise ValueError("--lows lists no number")
-    rows = regulator.feasibility_sweep(args.top, lows, exhaustive=args.exhaustive)
+    rows = regulator.feasibility_sweep(args.top, lows)
     _write_or_print(serialize.sweep_to_csv(rows), args.out)
     return 0
 
@@ -292,7 +285,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "min-ps": lp.oracle_min_ps,
         }[args.objective]
         value = fn(m, w, args.model)
-    print(f"{rational_str(value)} ({decimal_str(value)})")
+    print(f"{value} ({decimal_str(value)})")
     return 0
 
 
@@ -319,13 +312,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PointOutsideRegion as exc:
         sys.stderr.write(f"error: {exc}\n")
         return OUTSIDE_REGION
-    except (InfeasibleWindow, EmptyAboveFloor, NoSupportInWindow) as exc:
+    except (InfeasibleWindow, EmptyAboveFloor) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INFEASIBLE
-    except (OSError, ValueError, TypeError, ZeroMarket, BadRange) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except SegmarketError as exc:
+    except (OSError, ValueError, TypeError, SegmarketError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

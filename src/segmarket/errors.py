@@ -25,10 +25,6 @@ class PriceOutsideWindow(SegmarketError):
     """A segment price falls outside the regulated price window."""
 
 
-class NoSupportInWindow(SegmarketError):
-    """The market carries no mass at any value inside the regulated window."""
-
-
 class InfeasibleWindow(SegmarketError):
     """The regulated window cannot support a full passive segmentation of the market."""
 

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
-from .core import Market, Model, PriceWindow, MarketScheme, Segment, ZERO
+from .core import Market, Model, PriceWindow, ZERO, _check_window
 from .errors import InfeasibleWindow, InvariantViolation
 
 Relation = Literal["==", "<=", ">="]
@@ -211,17 +211,13 @@ def _pivot(tableau: list[dict[int, int]], basis: list[int], row: int, col: int) 
 
 @dataclass(frozen=True)
 class SegmentationLP:
-    """A segmentation LP instance with a variable index for readers/tests."""
+    """A segmentation LP instance: its rows, and which ``x[q, i]`` each
+    column holds, so objectives and renderings can address variables."""
 
     market: Market
-    window: PriceWindow
     model: Model
-    price_indices: tuple[int, ...]
     columns: tuple[tuple[int, int], ...]  # column -> (price index q, grid index i)
     rows: tuple[LPRow, ...]
-
-    def column_of(self, q: int, i: int) -> int:
-        return self.columns.index((q, i))
 
 
 def build_lp(
@@ -229,17 +225,14 @@ def build_lp(
     w: PriceWindow,
     model: Model,
     price_indices: Sequence[int] | None = None,
-    upper_bounds: Mapping[tuple[int, int], Fraction] | None = None,
 ) -> SegmentationLP:
     """Assemble the segmentation LP.
 
     *price_indices* restricts which window prices get a segment (defaults to
     all of them); instruction rows still compare against the full rival set
-    of the model. *upper_bounds* adds rows ``x[q, i] <= bound``, used by
-    tests probing the boundary of the feasible region.
+    of the model.
     """
-    if w.hi >= len(m.grid):
-        raise ValueError("window exceeds the grid")
+    _check_window(m.grid, w)
     prices = tuple(price_indices) if price_indices is not None else tuple(w.indices())
     if any(q not in w for q in prices):
         raise ValueError("segment prices must lie inside the window")
@@ -264,12 +257,7 @@ def build_lp(
             for i in range(j, n):
                 coeffs[col[(q, i)]] -= g[j]
             rows.append(LPRow(f"opt[p={g[q]},rival={g[j]}]", tuple(coeffs), ">=", ZERO))
-    if upper_bounds:
-        for (q, i), bound in sorted(upper_bounds.items()):
-            coeffs = [ZERO] * len(columns)
-            coeffs[col[(q, i)]] = Fraction(1)
-            rows.append(LPRow(f"cap[p={g[q]},v={g[i]}]", tuple(coeffs), "<=", bound))
-    return SegmentationLP(m, w, model, prices, columns, tuple(rows))
+    return SegmentationLP(m, model, columns, tuple(rows))
 
 
 def dump_lp(lp: SegmentationLP, objective: Sequence[Fraction] | None = None) -> str:
@@ -309,53 +297,21 @@ def _surplus_objective(lp: SegmentationLP, kind: Literal["cs", "ps"]) -> list[Fr
     return out
 
 
-def solve_segmentation(
-    lp: SegmentationLP,
-    objective: Sequence[Fraction],
-    sense: Literal["min", "max"],
-) -> LPResult:
-    return solve(len(lp.columns), lp.rows, objective, sense)
-
-
-def solution_scheme(lp: SegmentationLP, assignment: Sequence[Fraction]) -> MarketScheme:
-    """Reassemble an LP solution into a scheme (one segment per LP price)."""
-    g = lp.market.grid
-    segments = []
-    n = len(g)
-    for q in lp.price_indices:
-        masses = [ZERO] * n
-        for i in range(n):
-            masses[i] = assignment[lp.column_of(q, i)]
-        segments.append(Segment(Market(g, tuple(masses)), q))
-    return MarketScheme(lp.market, tuple(segments))
-
-
 def oracle_feasible(m: Market, w: PriceWindow, model: Model) -> bool:
     """Whether any model-consistent segmentation prices everything in the window."""
     lp = build_lp(m, w, model)
-    result = solve_segmentation(lp, [ZERO] * len(lp.columns), "min")
+    result = solve(len(lp.columns), lp.rows, [ZERO] * len(lp.columns))
     return result.status == "optimal"
-
-
-def _solve_or_raise(
-    m: Market, w: PriceWindow, model: Model, kind: Literal["cs", "ps"],
-    sense: Literal["min", "max"],
-) -> Fraction:
-    lp = build_lp(m, w, model)
-    return _optimum(
-        lp, _surplus_objective(lp, kind), sense,
-        "no valid segmentation prices everything in the window",
-    )
 
 
 def _optimum(
     lp: SegmentationLP,
     objective: Sequence[Fraction],
     sense: Literal["min", "max"],
-    infeasible: str,
+    infeasible: str = "no valid segmentation prices everything in the window",
 ) -> Fraction:
     """The optimal value, or InfeasibleWindow with message *infeasible*."""
-    result = solve_segmentation(lp, objective, sense)
+    result = solve(len(lp.columns), lp.rows, objective, sense)
     if result.status != "optimal":
         raise InfeasibleWindow(infeasible)
     if result.value is None:
@@ -364,41 +320,29 @@ def _optimum(
 
 
 def oracle_min_cs(m: Market, w: PriceWindow, model: Model) -> Fraction:
-    return _solve_or_raise(m, w, model, "cs", "min")
+    lp = build_lp(m, w, model)
+    return _optimum(lp, _surplus_objective(lp, "cs"), "min")
 
 
 def oracle_max_ps(m: Market, w: PriceWindow, model: Model) -> Fraction:
-    return _solve_or_raise(m, w, model, "ps", "max")
+    lp = build_lp(m, w, model)
+    return _optimum(lp, _surplus_objective(lp, "ps"), "max")
 
 
 def oracle_min_ps(m: Market, w: PriceWindow, model: Model) -> Fraction:
-    return _solve_or_raise(m, w, model, "ps", "min")
+    lp = build_lp(m, w, model)
+    return _optimum(lp, _surplus_objective(lp, "ps"), "min")
 
 
-def oracle_min_floor_mass(
-    m: Market,
-    w: PriceWindow,
-    floor: int,
-    upper_bounds: Mapping[tuple[int, int], Fraction] | None = None,
-) -> Fraction:
+def oracle_min_floor_mass(m: Market, w: PriceWindow, floor: int) -> Fraction:
     """Least mass of value-``floor`` buyers that any passive segmentation
     restricted to prices ``{floor..hi}`` must place in the segment priced at
-    the floor value.
-
-    *upper_bounds* lets tests re-solve with an extra cap to certify minimality
-    (capping below the optimum must be infeasible).
-    """
+    the floor value."""
     if floor not in w:
         raise ValueError("floor must lie inside the window")
-    lp = build_lp(
-        m,
-        w,
-        "passive",
-        price_indices=range(floor, w.hi + 1),
-        upper_bounds=upper_bounds,
-    )
+    lp = build_lp(m, w, "passive", price_indices=range(floor, w.hi + 1))
     objective = [ZERO] * len(lp.columns)
-    objective[lp.column_of(floor, floor)] = Fraction(1)
+    objective[lp.columns.index((floor, floor))] = Fraction(1)
     return _optimum(
         lp, objective, "min",
         "no passive segmentation prices everything in the reduced window",

@@ -12,14 +12,12 @@ picks the peel support, extra caps on the peel weight and the price, and
 step objects are built only for the constructions that return a run.
 
 Every function is exact and deterministic. The driver carries an iteration
-guard (``2n + 2`` by default, override with the ``SEGMARKET_MAX_ITERS``
-environment variable) that turns a logic error into a
-:class:`~segmarket.errors.NonTermination` instead of a hang.
+guard of ``2n + 2`` peels on an ``n``-value grid that turns a logic error
+into a :class:`~segmarket.errors.NonTermination` instead of a hang.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +29,7 @@ from .core import (
     MarketScheme,
     PriceWindow,
     Segment,
+    _check_window,
     equal_revenue_market,
     largest_dominated_er,
     opt_prices,
@@ -43,19 +42,12 @@ from .errors import (
     InfeasibleWindow,
     InvariantViolation,
     NonTermination,
-    NoSupportInWindow,
     ZeroMarket,
 )
 
 
 def iteration_guard(n: int) -> int:
-    """Loop bound for extraction: 2n + 2, or SEGMARKET_MAX_ITERS if set."""
-    raw = os.environ.get("SEGMARKET_MAX_ITERS")
-    if raw is not None:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError("SEGMARKET_MAX_ITERS must be positive")
-        return value
+    """Loop bound for extraction on an *n*-value grid: 2n + 2 peels."""
     return 2 * n + 2
 
 
@@ -146,15 +138,6 @@ def unregulated_consumer_optimal(m: Market) -> SegmentationRun:
     return SegmentationRun(scheme, remainder, tuple(steps))
 
 
-def extraction_support(m: Market, w: PriceWindow) -> tuple[int, ...]:
-    """Support for a seller-favoring peel: everything outside the window plus
-    only the highest in-window supported value."""
-    peel = _seller_peel(m.support(), w)
-    if peel is None:
-        raise NoSupportInWindow("no buyer mass at any window value")
-    return tuple(peel[0])
-
-
 def producer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
     """Producer-optimal passive segmentation under a regulated window.
 
@@ -180,6 +163,7 @@ def is_feasible(m: Market, w: PriceWindow) -> bool:
     if and only if any full segmentation exists. Only that remainder is
     computed; no step is kept.
     """
+    _check_window(m.grid, w)
     if m.is_zero():
         raise ZeroMarket("feasibility is undefined for a market with no buyers")
     return _peel(m, "producer-optimal", lambda _, full: _seller_peel(full, w)).is_zero()

@@ -3,7 +3,7 @@
 Every number in this package is a ``fractions.Fraction``. Inputs may be written
 as "p/q" or as finite decimal literals ("0.36" means exactly 9/25); both parse
 without rounding. Floats are rejected since they rarely mean what their printed
-form says.
+form says. ``str`` renders a Fraction exactly as "p/q", or as a bare integer.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
-
-
-def rational_str(value: Fraction) -> str:
-    """Canonical "p/q" rendering; integers render without a denominator."""
-    return str(value)
 
 
 def decimal_str(value: Fraction, places: int = 6) -> str:

@@ -26,7 +26,6 @@ from .core import (
     uniform_revenue,
 )
 from .errors import PointOutsideRegion
-from .rationals import rational_str
 
 Point = tuple[Fraction, Fraction]
 
@@ -76,24 +75,24 @@ def passive_region(m: Market, w: PriceWindow) -> SurplusRegion:
 def _passive_region(
     m: Market, w: PriceWindow, red: passive.ReducedWindow
 ) -> SurplusRegion:
-    cs_floor = passive._min_consumer_surplus(m, red)
-    ps_floor = uniform_revenue(m)
-    cap = tail_value(m, w.lo)
-    return SurplusRegion(
-        "passive",
-        v_min=(cs_floor, ps_floor),
-        v_seller=(cs_floor, cap - cs_floor),
-        v_buyer=(cap - ps_floor, ps_floor),
+    return _triangle(
+        "passive", passive._min_consumer_surplus(m, red), uniform_revenue(m), tail_value(m, w.lo)
     )
 
 
 def active_region(m: Market, w: PriceWindow) -> SurplusRegion:
     marks = active.benchmarks(m, w)
-    cs_floor = marks.min_consumer_surplus
-    ps_floor = marks.window_revenue
-    cap = marks.max_welfare
+    return _triangle(
+        "active", marks.min_consumer_surplus, marks.window_revenue, marks.max_welfare
+    )
+
+
+def _triangle(
+    model: Model, cs_floor: Fraction, ps_floor: Fraction, cap: Fraction
+) -> SurplusRegion:
+    """The region with surplus floors *cs_floor*, *ps_floor* and welfare cap *cap*."""
     return SurplusRegion(
-        "active",
+        model,
         v_min=(cs_floor, ps_floor),
         v_seller=(cs_floor, cap - cs_floor),
         v_buyer=(cap - ps_floor, ps_floor),
@@ -145,7 +144,7 @@ def mix_for_point(
     red = passive.minimal_reduction(m, w) if model == "passive" else None
     region = _passive_region(m, w, red) if red is not None else active_region(m, w)
     if not region.contains(target):
-        cs, ps = (rational_str(x) for x in target)
+        cs, ps = target
         raise PointOutsideRegion(f"({cs}, {ps}) lies outside the {model} region")
     spread = region.welfare_cap - region.v_min[0] - region.v_min[1]
     if spread == 0:

@@ -20,6 +20,7 @@ from .core import (
     Market,
     PriceWindow,
     ZERO,
+    _check_window,
     grid,
     opt_prices,
     uniform_revenue,
@@ -38,6 +39,7 @@ def sufficient_condition(m: Market, w: PriceWindow) -> bool:
     :class:`HypothesisViolated` rather than an unreliable verdict. The test
     is one-sided: failing it decides nothing.
     """
+    _check_window(m.grid, w)
     optimal = opt_prices(m)
     if len(optimal) != 1:
         raise HypothesisViolated("screening test needs a unique unregulated price")

@@ -20,15 +20,15 @@ from .core import (
     grid,
 )
 from .passive import ExtractionStep
-from .rationals import as_rational, decimal_str, rational_str
+from .rationals import as_rational, decimal_str
 from .region import SurplusRegion
 from .regulator import SweepRow
 
 
 def market_to_obj(m: Market) -> dict[str, Any]:
     return {
-        "values": [rational_str(v) for v in m.grid.values],
-        "masses": [rational_str(v) for v in m.masses],
+        "values": [str(v) for v in m.grid.values],
+        "masses": [str(v) for v in m.masses],
     }
 
 
@@ -45,7 +45,7 @@ def scheme_to_obj(scheme: MarketScheme) -> dict[str, Any]:
         "aggregate": market_to_obj(scheme.aggregate),
         "segments": [
             {
-                "masses": [rational_str(v) for v in seg.market.masses],
+                "masses": [str(v) for v in seg.market.masses],
                 "price_index": seg.price_index + 1,
             }
             for seg in scheme.segments
@@ -70,7 +70,7 @@ def scheme_from_obj(obj: Any) -> MarketScheme:
 
 def region_to_obj(region: SurplusRegion) -> dict[str, Any]:
     def point(p: tuple) -> list[str]:
-        return [rational_str(p[0]), rational_str(p[1])]
+        return [str(p[0]), str(p[1])]
 
     return {
         "model": region.model,
@@ -88,10 +88,10 @@ def trace_to_obj(steps: Iterable[ExtractionStep]) -> list[dict[str, Any]]:
         out.append(
             {
                 "support": [i + 1 for i in step.support],
-                "gamma": rational_str(step.gamma),
-                "segment": [rational_str(v) for v in step.segment.market.masses],
+                "gamma": str(step.gamma),
+                "segment": [str(v) for v in step.segment.market.masses],
                 "price_index": step.segment.price_index + 1,
-                "residual": [rational_str(v) for v in step.residual.masses],
+                "residual": [str(v) for v in step.residual.masses],
             }
         )
     return out
@@ -99,7 +99,7 @@ def trace_to_obj(steps: Iterable[ExtractionStep]) -> list[dict[str, Any]]:
 
 def window_to_str(g: ValueGrid, w: PriceWindow) -> str:
     """Human-facing "lo..hi" rendering in grid values."""
-    return f"{rational_str(g[w.lo])}..{rational_str(g[w.hi])}"
+    return f"{g[w.lo]}..{g[w.hi]}"
 
 
 SWEEP_HEADER = (
@@ -120,8 +120,8 @@ def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
                     str(row.n_sets),
                     str(row.n_feasible),
                     str(row.n_sufficient),
-                    rational_str(pf),
-                    rational_str(ps),
+                    str(pf),
+                    str(ps),
                     decimal_str(pf),
                     decimal_str(ps),
                     str(int(row.optprice_ties)),

@@ -226,6 +226,7 @@ def test_usage_errors(m1_file, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert main(["feasible", "--market", str(bad), "--flo", "2", "--fhi", "3"]) == 1
+    assert main(["sweep", "--top", "6", "--exhaustive"]) == 1
 
 
 def test_parser_is_built_once():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segmarket import PriceWindow, market, validate_scheme
+from segmarket import Market, MarketScheme, PriceWindow, Segment, market, validate_scheme
 from segmarket import lp
 from segmarket.errors import InfeasibleWindow, InvariantViolation
 from segmarket.lp import (
@@ -16,9 +16,7 @@ from segmarket.lp import (
     oracle_min_cs,
     oracle_min_floor_mass,
     oracle_min_ps,
-    solution_scheme,
     solve,
-    solve_segmentation,
 )
 
 from lp_reference import brute_force
@@ -202,19 +200,26 @@ def test_oracle_min_floor_mass(m1, w23):
     eta = oracle_min_floor_mass(m1, w23, floor=1)
     assert eta == F("4/25")
     # minimality certificate: capping the floor cell below eta kills the LP
-    with pytest.raises(InfeasibleWindow):
-        oracle_min_floor_mass(
-            m1, w23, floor=1, upper_bounds={(1, 1): eta - F("1/100")}
-        )
+    lp = build_lp(m1, w23, "passive", price_indices=[1, 2])
+    cap = [F(0)] * len(lp.columns)
+    cap[lp.columns.index((1, 1))] = F(1)
+    rows = [*lp.rows, LPRow("cap", tuple(cap), "<=", eta - F("1/100"))]
+    assert solve(len(lp.columns), rows, [F(0)] * len(lp.columns)).status == "infeasible"
     with pytest.raises(ValueError):
         oracle_min_floor_mass(m1, w23, floor=0)
 
 
 def test_solution_scheme_validates(m1, w23):
     lp = build_lp(m1, w23, "passive")
-    result = solve_segmentation(lp, [F(0)] * len(lp.columns), "min")
+    result = solve(len(lp.columns), lp.rows, [F(0)] * len(lp.columns))
     assert result.status == "optimal"
-    scheme = solution_scheme(lp, result.assignment)
+    # the columns come in blocks of n, one block per window price
+    n = len(m1.grid)
+    x = result.assignment
+    scheme = MarketScheme(m1, tuple(
+        Segment(Market(m1.grid, x[k * n : (k + 1) * n]), q)
+        for k, q in enumerate(w23.indices())
+    ))
     assert scheme.segments_total().masses == m1.masses
     assert validate_scheme(scheme, w23, "passive").ok
 

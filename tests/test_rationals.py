@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from segmarket import as_rational, decimal_str, rational_str
+from segmarket import as_rational, decimal_str
 
 
 def test_parses_fraction_strings():
@@ -34,12 +34,6 @@ def test_rejects_garbage_strings():
         as_rational("three")
     with pytest.raises(ValueError):
         as_rational("1/0")
-
-
-def test_rational_str_is_canonical():
-    assert rational_str(Fraction(43, 50)) == "43/50"
-    assert rational_str(Fraction(6, 2)) == "3"
-    assert rational_str(Fraction(0)) == "0"
 
 
 def test_decimal_str_default_places():

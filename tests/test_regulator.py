@@ -38,6 +38,15 @@ def test_sufficient_condition_hypothesis_gate(m1):
         sufficient_condition(tied, PriceWindow(0, 0))
 
 
+def test_windows_past_the_grid_are_rejected(m1):
+    n = len(m1.grid)
+    for w in (PriceWindow(0, n), PriceWindow(n, n + 1), PriceWindow(n + 1, n + 5)):
+        with pytest.raises(ValueError, match="window exceeds the grid"):
+            is_feasible(m1, w)
+        with pytest.raises(ValueError, match="window exceeds the grid"):
+            sufficient_condition(m1, w)
+
+
 def test_design_prefix_window_reference_market(m1):
     w = design_prefix_window(m1)
     assert (w.lo, w.hi) == (0, 1)
