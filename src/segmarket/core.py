@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -80,16 +81,13 @@ class ValueGrid:
         except ValueError:
             raise ValueError(f"value {v} is not a grid entry") from None
 
+    @cached_property
     def _reciprocals(self) -> tuple[int, tuple[int, ...]]:
         """``(L, R)`` with ``L`` the lcm of the value numerators and
         ``R[i] = L / v_i``, an integer; computed on first use and kept on
         this grid."""
-        cached = self.__dict__.get("_recips")
-        if cached is None:
-            big = lcm(*(v.numerator for v in self.values))
-            cached = (big, tuple(big // v.numerator * v.denominator for v in self.values))
-            object.__setattr__(self, "_recips", cached)
-        return cached
+        big = lcm(*(v.numerator for v in self.values))
+        return big, tuple(big // v.numerator * v.denominator for v in self.values)
 
 
 def grid(values: Iterable[int | str | Fraction]) -> ValueGrid:
@@ -193,14 +191,18 @@ def _common(a: Market, b: Market) -> tuple[list[int], Sequence[int], int]:
 
 def _derived(g: ValueGrid, nums: tuple[int, ...], den: int) -> Market:
     """A market this module computed from valid ones, given as a primitive
-    ray and built without the validation pass of ``Market(...)``."""
+    ray and set slot by slot, without the validation pass of ``Market(...)``."""
     m = object.__new__(Market)
-    _set = object.__setattr__
-    _set(m, "grid", g)
-    _set(m, "_nums", nums)
-    _set(m, "_den", den)
-    _set(m, "_masses", None)
+    _set_grid(m, g)
+    _set_nums(m, nums)
+    _set_den(m, den)
+    _set_masses(m, None)
     return m
+
+
+_set_grid, _set_nums, _set_den, _set_masses = (
+    getattr(Market, name).__set__ for name in ("grid", "_nums", "_den", "_masses")
+)
 
 
 def _ray(g: ValueGrid, nums: list[int], den: int) -> Market:
@@ -319,7 +321,7 @@ def _best_prices(m: Market, lo: int, hi: int) -> tuple[Fraction, tuple[int, ...]
     Revenue at ``i`` is ``L * T_i / (R_i * den)`` with ``T_i`` the tail sum
     of the numerators, so prices compare by cross-multiplying ``T_i / R_i``.
     """
-    big, recips = m.grid._reciprocals()
+    big, recips = m.grid._reciprocals
     nums = m._nums
     tail = sum(nums[hi + 1 :])
     best_t, best_r, ties = -1, 1, []
@@ -372,19 +374,12 @@ def tail_value(m: Market, lo: int) -> Fraction:
 def segment_surplus(seg: Segment) -> SurplusSummary:
     """Consumer and producer surplus of one segment at its instructed price.
 
-    Buyers below the price do not trade and contribute nothing.
+    Buyers below the price do not trade: welfare is the value held at or
+    above the price, and the seller keeps the price times the demand there.
     """
-    p = seg.market.grid[seg.price_index]
-    served = demand(seg.market, seg.price_index)
-    ps = p * served
-    cs = sum(
-        (
-            (seg.market.grid[i] - p) * seg.market.masses[i]
-            for i in range(seg.price_index, len(seg.market.grid))
-        ),
-        ZERO,
-    )
-    return SurplusSummary(cs, ps, cs + ps)
+    ps = seg.market.grid[seg.price_index] * demand(seg.market, seg.price_index)
+    sw = tail_value(seg.market, seg.price_index)
+    return SurplusSummary(sw - ps, ps, sw)
 
 
 def scheme_surplus(scheme: MarketScheme) -> SurplusSummary:
@@ -408,7 +403,7 @@ def _unit_weights(g: ValueGrid, support: Iterable[int]) -> tuple[list[int], list
         raise EmptySupport("equal-revenue market needs a non-empty support")
     if idx[0] < 0 or idx[-1] >= len(g):
         raise IndexError("support index outside the grid")
-    recips = g._reciprocals()[1]
+    recips = g._reciprocals[1]
     weights = [recips[i] - recips[j] for i, j in zip(idx, idx[1:])]
     weights.append(recips[idx[-1]])
     return idx, weights
@@ -440,7 +435,7 @@ def equal_revenue_market(g: ValueGrid, support: Iterable[int]) -> Market:
     """
     idx, weights = _unit_weights(g, support)
     low = g[idx[0]]
-    return _spread(g, idx, weights, low.numerator, low.denominator * g._reciprocals()[0])
+    return _spread(g, idx, weights, low.numerator, low.denominator * g._reciprocals[0])
 
 
 def largest_dominated_er(
@@ -457,6 +452,8 @@ def largest_dominated_er(
     Only the supported entries are computed: the binding entry is the least
     ``nums[i] / weight`` found by cross-multiplying, and its bound
     ``nums[i] * L / (den * weight * v_low)`` is the one ``Fraction`` built.
+    ``x`` is spread on the support alone, uncapped straight from the binding
+    ratio as ``weights * nums[i] / (den * weight)``, capped from gamma.
     """
     g = cap.grid
     idx, weights = _unit_weights(g, support)
@@ -467,18 +464,19 @@ def largest_dominated_er(
         if n * best_u < best_n * u:
             best_n, best_u = n, u
     low = g[idx[0]]
-    big = g._reciprocals()[0]
-    gamma = Fraction(best_n * big * low.denominator, cap._den * best_u * low.numerator)
+    big = g._reciprocals[0]
+    gamma = bound = Fraction(best_n * big * low.denominator, cap._den * best_u * low.numerator)
     for b in extra_caps:
         if b < 0:
             raise NegativeBound("extraction bound must be nonnegative")
         if b < gamma:
             gamma = b
-    if gamma < 0:
+    if gamma.numerator < 0:
         raise InvariantViolation("extraction weight came out negative")
-    # x = gamma * (v_low / L) * weights
-    num = gamma.numerator * low.numerator
-    return gamma, _spread(g, idx, weights, num, gamma.denominator * low.denominator * big)
+    num, den = best_n, cap._den * best_u  # uncapped: x = weights * nums[i] / (den * weight)
+    if gamma is not bound:  # x = gamma * (v_low / L) * weights
+        num, den = gamma.numerator * low.numerator, gamma.denominator * low.denominator * big
+    return gamma, _spread(g, idx, weights, num, den)
 
 
 def standardize(scheme: MarketScheme, w: PriceWindow) -> MarketScheme:

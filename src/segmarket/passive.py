@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from . import lp
@@ -30,6 +31,7 @@ from .core import (
     PriceWindow,
     Segment,
     _check_window,
+    _ray,
     equal_revenue_market,
     largest_dominated_er,
     opt_prices,
@@ -72,9 +74,9 @@ class SegmentationRun:
     steps: tuple[ExtractionStep, ...]
 
 
-# A peel policy maps the residual and its ascending support (which the driver
-# edits in place) to the next peel, as a new support list, extra caps on the
-# weight and a price; or to None to stop.
+# A peel policy maps the residual and its ascending support to the next peel,
+# as a new ascending support list, extra caps on the weight and a price; or
+# to None to stop.
 _Pick = Callable[[Market, list], "tuple[list, Sequence[Fraction], int] | None"]
 
 
@@ -82,8 +84,10 @@ def _peel(m: Market, what: str, pick: _Pick, steps: list[ExtractionStep] | None 
     """Peel *m* as *pick* directs, one :func:`core.largest_dominated_er`
     call per peel, and return the remainder; steps go to *steps* if given.
 
-    A peel can empty only entries of its own support, so the support list
-    is carried from peel to peel instead of rescanned from the grid.
+    The slice is zero off its support, so it is taken off the residual in one
+    pass over that support, on the rays' common denominator, each entry checked
+    for going negative, then one gcd reduction. Only support entries can empty,
+    so the carried support list is rebuilt once per peel, not rescanned.
     """
     guard = iteration_guard(len(m.grid))
     residual = m
@@ -97,13 +101,17 @@ def _peel(m: Market, what: str, pick: _Pick, steps: list[ExtractionStep] | None 
         gamma, piece = largest_dominated_er(residual, support, caps)
         if not gamma:
             raise InvariantViolation(f"{what} peel stalled")
-        residual = residual.minus(piece)
+        c = gcd(residual._den, piece._den)
+        to_common, piece_scale, taken = piece._den // c, residual._den // c, piece._nums
+        nums = [n * to_common for n in residual._nums]
+        for i in support:
+            nums[i] -= taken[i] * piece_scale
+            if nums[i] < 0:
+                raise InvariantViolation(f"{what} peel left negative mass")
+        residual = _ray(m.grid, nums, piece_scale * piece._den)
         if steps is not None:
             steps.append(ExtractionStep(tuple(support), gamma, Segment(piece, price), residual))
-        nums = residual._nums
-        for i in support:
-            if not nums[i]:
-                full.remove(i)
+        full = [i for i in full if nums[i]]
     return residual
 
 
@@ -160,13 +168,21 @@ def is_feasible(m: Market, w: PriceWindow) -> bool:
     """Whether some passive segmentation prices every buyer inside the window.
 
     The producer-optimal peel is greedy-complete: it leaves a zero remainder
-    if and only if any full segmentation exists. Only that remainder is
-    computed; no step is kept.
+    if and only if any full segmentation exists. It runs only while some
+    supported entry lies outside the window, and the verdict is that the
+    remainder has no mass outside it: a market supported inside the window
+    has all its optimal prices there (a lower price sells no more, a higher
+    one nothing), so it is one valid segment by itself. No step is kept.
     """
     _check_window(m.grid, w)
     if m.is_zero():
         raise ZeroMarket("feasibility is undefined for a market with no buyers")
-    return _peel(m, "producer-optimal", lambda _, full: _seller_peel(full, w)).is_zero()
+
+    def pick(_: Market, full: list[int]):
+        straddles = full and (full[0] < w.lo or full[-1] > w.hi)
+        return _seller_peel(full, w) if straddles else None
+
+    return all(i in w for i in _peel(m, "producer-optimal", pick).support())
 
 
 def _preservation_caps(

@@ -8,6 +8,7 @@ form says. ``str`` renders a Fraction exactly as "p/q", or as a bare integer.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -16,6 +17,7 @@ def as_rational(value: int | str | Fraction) -> Fraction:
 
     Accepts ints, Fractions, and strings in "p/q" or finite-decimal form.
     Floats raise TypeError: the caller should write the literal as a string.
+    An exponent past the int string-digit limit is rejected before it is built.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
@@ -23,6 +25,10 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if "e" in value or "E" in value:
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+                if 0 < limit < abs(int(value.upper().partition("E")[2])):
+                    raise ValueError("exponent too large")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc

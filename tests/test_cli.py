@@ -129,6 +129,18 @@ def test_point_outside_region(m1_file, capsys):
     assert err == f"error: (1{'0' * 400}, -1/3) lies outside the active region\n"
 
 
+def test_point_rejects_huge_exponents(m1_file, capsys):
+    """A surplus target whose power of ten is past the int digit limit is a
+    clean usage error, not a hang."""
+    for cs, ps in (("1e999999999", "1"), ("1", "-1e999999999")):
+        code = main([
+            "point", "--market", m1_file, "--flo", "2", "--fhi", "3",
+            "--model", "passive", "--cs", cs, f"--ps={ps}",
+        ])
+        assert code == 1
+        _single_error(capsys)
+
+
 def test_feasible_command(m1_file, capsys):
     assert main(["feasible", "--market", m1_file, "--flo", "2", "--fhi", "3"]) == 0
     assert capsys.readouterr().out.strip() == "feasible"
@@ -279,6 +291,7 @@ MALFORMED_MARKETS = {
     "zero-denominator": '{"values": ["1", "2"], "masses": ["1/0", "1"]}',
     "boolean": '{"values": ["1", "2"], "masses": [true, "1"]}',
     "truncated": '{"values": ["1", "2"], "masses": ["1", ',
+    "huge-exponent": '{"values": ["1", "2"], "masses": ["1e-999999999", "1"]}',
 }
 
 

@@ -226,6 +226,89 @@ def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
         consumer_optimal(m1, w23)
 
 
+def test_oversized_slice_is_a_typed_error(m1, w23, monkeypatch):
+    """A slice that does not fit under the residual raises in the driver's
+    subtraction, also under ``python -O``."""
+    real = passive.largest_dominated_er
+
+    def doubled(cap, support, extra_caps=()):
+        gamma, piece = real(cap, support, extra_caps)
+        return 2 * gamma, piece.plus(piece)
+
+    monkeypatch.setattr(passive, "largest_dominated_er", doubled)
+    runs = [
+        unregulated_consumer_optimal,
+        lambda m: producer_optimal(m, w23),
+        lambda m: is_feasible(m, w23),
+        lambda m: consumer_optimal(m, w23),
+        lambda m: welfare_minimal(m, w23),
+    ]
+    for run in runs:
+        with pytest.raises(InvariantViolation, match="negative mass"):
+            run(m1)
+
+
+def _count_peels(monkeypatch):
+    """A one-item list that counts peels, each one ``largest_dominated_er`` call."""
+    real, count = passive.largest_dominated_er, [0]
+
+    def counted(cap, support, extra_caps=()):
+        count[0] += 1
+        return real(cap, support, extra_caps)
+
+    monkeypatch.setattr(passive, "largest_dominated_er", counted)
+    return count
+
+
+def test_early_verdict_runs_no_more_peels(monkeypatch):
+    """is_feasible stops once no supported entry lies outside the window.
+
+    A window holding the whole support runs no peel; on uniform markets no
+    feasible window runs more peels than the producer-optimal run, some run
+    fewer, and every verdict is whether that run leaves a remainder.
+    """
+    count = _count_peels(monkeypatch)
+    m = market([1, 2, 3, 5, 8], ["0", "1/4", "1/2", "1/4", "0"])
+    for w in (PriceWindow(1, 3), PriceWindow(0, 4), PriceWindow(0, 3)):
+        assert is_feasible(m, w)
+    assert count[0] == 0
+    fewer = 0
+    for top in range(1, 15):
+        m = uniform_market(1, top)
+        for lo in range(top):
+            for hi in range(lo, top):
+                w = PriceWindow(lo, hi)
+                run = producer_optimal(m, w)
+                count[0] = 0
+                assert is_feasible(m, w) == run.remainder.is_zero(), (top, w)
+                if run.remainder.is_zero():
+                    assert count[0] <= len(run.steps), (top, w)
+                    fewer += count[0] < len(run.steps)
+    assert fewer > 0
+
+
+def test_early_verdict_with_zero_mass_at_an_endpoint():
+    """On random rational markets, windows with an empty endpoint get the
+    producer-optimal verdict."""
+    rng = random.Random(1515)
+    checked = 0
+    for _ in range(150):
+        size = rng.randint(2, 8)
+        values = sorted({F(rng.randint(1, 90), rng.randint(1, 4)) for _ in range(size)})
+        masses = [F(rng.randint(0, 5), rng.randint(1, 7)) for _ in values]
+        if not any(masses):
+            continue
+        m = market(values, masses)
+        for lo in range(len(values)):
+            for hi in range(lo, len(values)):
+                if masses[lo] and masses[hi]:
+                    continue
+                w = PriceWindow(lo, hi)
+                assert is_feasible(m, w) == producer_optimal(m, w).remainder.is_zero(), (m, w)
+                checked += 1
+    assert checked > 500
+
+
 def _revenue_upper_bound(m, w):
     """The most any segmentation priced inside *w* can earn: every window
     buyer pays their value and every buyer above the window the cap price."""

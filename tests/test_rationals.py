@@ -36,6 +36,17 @@ def test_rejects_garbage_strings():
         as_rational("1/0")
 
 
+def test_rejects_exponents_past_the_digit_limit():
+    """Such a literal would take minutes to build and could never be printed;
+    it is refused before its power of ten is computed."""
+    for text in ("1e999999999", "1E-999999999", "2.5e+1000000", f"1e{'9' * 5000}"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            as_rational(text)
+    assert as_rational("1e400") == 10**400
+    assert as_rational("1e-400") == Fraction(1, 10**400)
+    assert as_rational(" 2.5E3 ") == 2500
+
+
 def test_decimal_str_default_places():
     assert decimal_str(Fraction(43, 50)) == "0.860000"
     assert decimal_str(Fraction(4, 25)) == "0.160000"
