@@ -35,7 +35,6 @@ from .core import (
     tail_value,
     uniform_revenue,
     validate_scheme,
-    window_from_values,
     window_uniform_revenue,
     zero_market,
 )

@@ -73,8 +73,6 @@ def producer_optimal(m: Market, w: PriceWindow) -> MarketScheme:
     buyer's value up to the cap. One segment per window price, zeros kept.
     """
     _check_served(m, w)
-    if len(w) == 1:
-        return MarketScheme(m, (Segment(m, w.lo),))
     last = len(m.grid) - 1
     return MarketScheme(m, tuple(
         Segment(_part(m, 0 if q == w.lo else q, last if q == w.hi else q), q)

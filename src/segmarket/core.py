@@ -21,12 +21,13 @@ is then ``v_low / L`` times the integer vector ``R_s - R_next(s)`` (``R_top``
 at the top), and a peel costs integer products and gcds plus one
 ``Fraction`` for its weight.
 
-Markets are validated where they enter: ``Market(...)`` and :func:`market`
-check the shape and the sign of the masses in ``Market.__post_init__``, and
-so does every market the ``serialize`` decoders build. Markets that this
-module's own arithmetic derives from valid ones (sums, scalings, checked
-differences, equal-revenue slices) are nonnegative by construction and skip
-that second pass.
+Inputs are converted and checked in the constructors: ``ValueGrid(...)``
+and ``Market(...)`` convert every value and mass with ``as_rational`` (floats
+and bools are refused) and check shape, order and sign, and ``PriceWindow``
+and ``Segment`` take int indices only; :func:`grid`, :func:`market` and the
+``serialize`` decoders convert nothing themselves. Markets derived here from
+valid ones (sums, scalings, checked differences, equal-revenue slices) are
+nonnegative by construction and skip that pass.
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """Strictly increasing positive buyer values shared by aligned markets."""
+    """Strictly increasing positive buyer values shared by aligned markets;
+    the constructor converts each value with ``as_rational``."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(map(as_rational, self.values)))
         if not self.values:
             raise ValueError("value grid must be non-empty")
         if any(v <= 0 for v in self.values):
@@ -91,16 +94,16 @@ class ValueGrid:
 
 
 def grid(values: Iterable[int | str | Fraction]) -> ValueGrid:
-    return ValueGrid(tuple(as_rational(v) for v in values))
+    return ValueGrid(tuple(values))
 
 
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class Market:
     """Nonnegative buyer mass at each grid value. Total mass need not be 1.
 
-    Held as the primitive integer ray ``(_nums, _den)`` described in the
-    module docstring, which equality and hashing compare; ``masses`` is its
-    ``Fraction`` view.
+    The constructor converts each mass with ``as_rational``. Held as the
+    primitive integer ray ``(_nums, _den)`` of the module docstring, which
+    equality and hashing compare; ``masses`` is its ``Fraction`` view.
     """
 
     grid: ValueGrid
@@ -108,17 +111,15 @@ class Market:
     _den: int
     _masses: tuple[Fraction, ...] | None = field(compare=False)
 
-    def __init__(self, grid: ValueGrid, masses: Sequence[Fraction]) -> None:
+    def __init__(self, grid: ValueGrid, masses: Iterable[int | str | Fraction]) -> None:
         _set = object.__setattr__
         _set(self, "grid", grid)
-        _set(self, "_masses", tuple(masses))
+        _set(self, "_masses", tuple(map(as_rational, masses)))
         self.__post_init__()
-        exact = [Fraction(x) for x in self._masses]
-        den = lcm(*(x.denominator for x in exact))
+        den = lcm(*(x.denominator for x in self._masses))
         # each Fraction is in lowest terms, so this ray is already primitive
-        _set(self, "_nums", tuple(x.numerator * (den // x.denominator) for x in exact))
+        _set(self, "_nums", tuple(x.numerator * (den // x.denominator) for x in self._masses))
         _set(self, "_den", den)
-        _set(self, "_masses", tuple(exact))
 
     def __post_init__(self) -> None:
         if len(self.masses) != len(self.grid):
@@ -218,7 +219,7 @@ def market(
     values: Iterable[int | str | Fraction], masses: Iterable[int | str | Fraction]
 ) -> Market:
     """Build a market from raw value/mass literals."""
-    return Market(grid(values), tuple(as_rational(m) for m in masses))
+    return Market(grid(values), masses)
 
 
 def zero_market(g: ValueGrid) -> Market:
@@ -242,6 +243,8 @@ class PriceWindow:
     hi: int
 
     def __post_init__(self) -> None:
+        if type(self.lo) is not int or type(self.hi) is not int:  # refuses bools too
+            raise TypeError("window endpoints must be ints")
         if self.lo < 0 or self.lo > self.hi:
             raise ValueError("window endpoints out of order")
 
@@ -253,12 +256,6 @@ class PriceWindow:
 
     def __contains__(self, index: int) -> bool:
         return self.lo <= index <= self.hi
-
-
-def window_from_values(
-    g: ValueGrid, lo_value: int | str | Fraction, hi_value: int | str | Fraction
-) -> PriceWindow:
-    return PriceWindow(g.index_of(lo_value), g.index_of(hi_value))
 
 
 def _check_window(g: ValueGrid, w: PriceWindow) -> None:
@@ -274,6 +271,8 @@ class Segment:
     price_index: int
 
     def __post_init__(self) -> None:
+        if type(self.price_index) is not int:  # refuses bools too
+            raise TypeError("price index must be an int")
         if not 0 <= self.price_index < len(self.market.grid):
             raise IndexError("price index outside the grid")
 

@@ -32,39 +32,38 @@ Point = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class SurplusRegion:
-    """Right triangle of achievable (cs, ps) pairs.
+    """Right triangle of achievable (cs, ps) pairs: ``cs >= cs_floor``,
+    ``ps >= ps_floor`` and ``cs + ps <= welfare_cap``.
 
-    ``v_min`` is the joint minimum, ``v_seller`` the producer-optimal corner
-    above it, ``v_buyer`` the consumer-optimal corner beside it; the
-    hypotenuse has slope -1 (fixed welfare cap).
+    Its corners are ``v_min``, the joint minimum, ``v_seller``, the
+    producer-optimal corner above it, and ``v_buyer``, the consumer-optimal
+    corner beside it; the hypotenuse has slope -1.
     """
 
     model: Model
-    v_min: Point
-    v_seller: Point
-    v_buyer: Point
+    cs_floor: Fraction
+    ps_floor: Fraction
+    welfare_cap: Fraction
 
     def __post_init__(self) -> None:
-        if self.v_seller[0] != self.v_min[0]:
-            raise ValueError("seller corner must share the consumer-surplus floor")
-        if self.v_buyer[1] != self.v_min[1]:
-            raise ValueError("buyer corner must share the producer-surplus floor")
-        if self.v_seller[0] + self.v_seller[1] != self.v_buyer[0] + self.v_buyer[1]:
-            raise ValueError("corner welfare caps disagree")
-        if self.v_seller[1] < self.v_min[1] or self.v_buyer[0] < self.v_min[0]:
-            raise ValueError("corners sit below the joint minimum")
+        if self.cs_floor + self.ps_floor > self.welfare_cap:
+            raise ValueError("surplus floors exceed the welfare cap")
 
     @property
-    def welfare_cap(self) -> Fraction:
-        return self.v_seller[0] + self.v_seller[1]
+    def v_min(self) -> Point:
+        return (self.cs_floor, self.ps_floor)
+
+    @property
+    def v_seller(self) -> Point:
+        return (self.cs_floor, self.welfare_cap - self.cs_floor)
+
+    @property
+    def v_buyer(self) -> Point:
+        return (self.welfare_cap - self.ps_floor, self.ps_floor)
 
     def contains(self, point: Point) -> bool:
         cs, ps = point
-        return (
-            cs >= self.v_min[0]
-            and ps >= self.v_min[1]
-            and cs + ps <= self.welfare_cap
-        )
+        return cs >= self.cs_floor and ps >= self.ps_floor and cs + ps <= self.welfare_cap
 
 
 def passive_region(m: Market, w: PriceWindow) -> SurplusRegion:
@@ -75,27 +74,15 @@ def passive_region(m: Market, w: PriceWindow) -> SurplusRegion:
 def _passive_region(
     m: Market, w: PriceWindow, red: passive.ReducedWindow
 ) -> SurplusRegion:
-    return _triangle(
+    return SurplusRegion(
         "passive", passive._min_consumer_surplus(m, red), uniform_revenue(m), tail_value(m, w.lo)
     )
 
 
 def active_region(m: Market, w: PriceWindow) -> SurplusRegion:
     marks = active.benchmarks(m, w)
-    return _triangle(
-        "active", marks.min_consumer_surplus, marks.window_revenue, marks.max_welfare
-    )
-
-
-def _triangle(
-    model: Model, cs_floor: Fraction, ps_floor: Fraction, cap: Fraction
-) -> SurplusRegion:
-    """The region with surplus floors *cs_floor*, *ps_floor* and welfare cap *cap*."""
     return SurplusRegion(
-        model,
-        v_min=(cs_floor, ps_floor),
-        v_seller=(cs_floor, cap - cs_floor),
-        v_buyer=(cap - ps_floor, ps_floor),
+        "active", marks.min_consumer_surplus, marks.window_revenue, marks.max_welfare
     )
 
 
@@ -146,12 +133,12 @@ def mix_for_point(
     if not region.contains(target):
         cs, ps = target
         raise PointOutsideRegion(f"({cs}, {ps}) lies outside the {model} region")
-    spread = region.welfare_cap - region.v_min[0] - region.v_min[1]
+    spread = region.welfare_cap - region.cs_floor - region.ps_floor
     if spread == 0:
         weights = (Fraction(1), Fraction(0), Fraction(0))
     else:
-        w_seller = (target[1] - region.v_min[1]) / spread
-        w_buyer = (target[0] - region.v_min[0]) / spread
+        w_seller = (target[1] - region.ps_floor) / spread
+        w_buyer = (target[0] - region.cs_floor) / spread
         weights = (1 - w_seller - w_buyer, w_seller, w_buyer)
     corners = _corner_schemes(m, w, red)
     segments: list[Segment] = []

@@ -21,7 +21,7 @@ from .core import (
     PriceWindow,
     ZERO,
     _check_window,
-    grid,
+    market,
     opt_prices,
     uniform_revenue,
 )
@@ -100,8 +100,7 @@ def uniform_market(lo: int, hi: int) -> Market:
     if lo < 1 or lo > hi:
         raise BadRange("need 1 <= lo <= hi")
     n = hi - lo + 1
-    share = Fraction(1, n)
-    return Market(grid(range(lo, hi + 1)), (share,) * n)
+    return market(range(lo, hi + 1), (Fraction(1, n),) * n)
 
 
 @dataclass(frozen=True)
@@ -128,23 +127,14 @@ class SweepRow:
 def _census(m: Market, exhaustive: bool) -> tuple[int, int, int, bool]:
     """Count windows disjoint from the optimal prices, and how many are
     feasible / pass the screening test."""
-    n = len(m.grid)
-    optimal = set(opt_prices(m))
-    ties = len(optimal) > 1
-    # maximal index runs that avoid every optimal price
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i in range(n + 1):
-        if i < n and i not in optimal:
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                runs.append((start, i - 1))
-                start = None
+    # the maximal index runs that avoid every optimal price are the gaps
+    # between consecutive ones, empty gaps included, which count nothing
+    edges = (-1, *opt_prices(m), len(m.grid))
+    ties = len(edges) > 3
     n_sets = n_feasible = n_sufficient = 0
     passes = _screen(m)
-    for a, b in runs:
+    for left, right in zip(edges, edges[1:]):
+        a, b = left + 1, right - 1
         size = b - a + 1
         n_sets += size * (size + 1) // 2
         if not ties:

@@ -1,9 +1,10 @@
 """JSON and CSV codecs for the on-disk formats.
 
 Numbers travel as exact strings ("p/q" or finite decimals); indices visible
-in files are 1-based. Decoding validates shape and exactness but leaves
-semantic checks (does a scheme sum to its aggregate?) to ``validate_scheme``
-so that defective inputs can be loaded and examined.
+in files are 1-based. Decoding checks the JSON shape and leaves the literals
+to the ``core`` constructors, which convert and check them, and semantic
+checks (does a scheme sum to its aggregate?) to ``validate_scheme`` so that
+defective inputs can be loaded and examined.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import (
     grid,
 )
 from .passive import ExtractionStep
-from .rationals import as_rational, decimal_str
+from .rationals import decimal_str
 from .region import SurplusRegion
 from .regulator import SweepRow
 
@@ -32,12 +33,16 @@ def market_to_obj(m: Market) -> dict[str, Any]:
     }
 
 
+def _list(obj: dict[str, Any], key: str) -> list[Any]:
+    if not isinstance(obj[key], list):
+        raise ValueError(f"'{key}' must be a JSON list")
+    return obj[key]
+
+
 def market_from_obj(obj: Any) -> Market:
     if not isinstance(obj, dict) or set(obj) != {"values", "masses"}:
         raise ValueError("market object needs exactly 'values' and 'masses'")
-    values = [as_rational(v) for v in obj["values"]]
-    masses = [as_rational(v) for v in obj["masses"]]
-    return Market(ValueGrid(tuple(values)), tuple(masses))
+    return Market(grid(_list(obj, "values")), _list(obj, "masses"))
 
 
 def scheme_to_obj(scheme: MarketScheme) -> dict[str, Any]:
@@ -59,12 +64,13 @@ def scheme_from_obj(obj: Any) -> MarketScheme:
     aggregate = market_from_obj(obj["aggregate"])
     g = aggregate.grid
     segments = []
-    for entry in obj["segments"]:
-        masses = tuple(as_rational(v) for v in entry["masses"])
-        price_index = int(entry["price_index"]) - 1
-        if not 0 <= price_index < len(g):
-            raise ValueError("segment price_index outside the grid")
-        segments.append(Segment(Market(g, masses), price_index))
+    for entry in _list(obj, "segments"):
+        if not isinstance(entry, dict) or not {"masses", "price_index"} <= set(entry):
+            raise ValueError("each segment needs 'masses' and 'price_index'")
+        k = entry["price_index"]
+        if type(k) is not int or not 1 <= k <= len(g):  # JSON true and 2.0 are refused
+            raise ValueError(f"segment price_index must be an integer in 1..{len(g)}")
+        segments.append(Segment(Market(g, _list(entry, "masses")), k - 1))
     return MarketScheme(aggregate, tuple(segments))
 
 

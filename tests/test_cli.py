@@ -130,9 +130,9 @@ def test_point_outside_region(m1_file, capsys):
 
 
 def test_point_rejects_huge_exponents(m1_file, capsys):
-    """A surplus target whose power of ten is past the int digit limit is a
-    clean usage error, not a hang."""
-    for cs, ps in (("1e999999999", "1"), ("1", "-1e999999999")):
+    """A surplus target past the int digit limit, in its exponent or in its
+    value, is a clean usage error, not a hang or a failure to print."""
+    for cs, ps in (("1e999999999", "1"), ("1", "-1e999999999"), ("1e4300", "0")):
         code = main([
             "point", "--market", m1_file, "--flo", "2", "--fhi", "3",
             "--model", "passive", "--cs", cs, f"--ps={ps}",
@@ -292,6 +292,9 @@ MALFORMED_MARKETS = {
     "boolean": '{"values": ["1", "2"], "masses": [true, "1"]}',
     "truncated": '{"values": ["1", "2"], "masses": ["1", ',
     "huge-exponent": '{"values": ["1", "2"], "masses": ["1e-999999999", "1"]}',
+    "digit-limit": '{"values": ["1", "2"], "masses": ["1e-4300", "1"]}',
+    "string-vectors": '{"values": "12", "masses": "11"}',
+    "object-vector": '{"values": ["1", "2"], "masses": {"1": "1", "2": "1"}}',
 }
 
 
@@ -316,6 +319,29 @@ MALFORMED_CASES = [
     for case in sorted(MALFORMED_MARKETS)
     for command in ("design-f", "feasible", "region", "validate")
 ] + [pytest.param("sweep", case, id=f"{case}-sweep") for case in sorted(MALFORMED_LOWS)]
+
+
+# malformed segment lists around a valid two-value aggregate, for validate
+MALFORMED_SEGMENTS = {
+    "float-index": '[{"masses": ["1", "1"], "price_index": 1.0}]',
+    "fractional-index": '[{"masses": ["1", "1"], "price_index": 2.9}]',
+    "boolean-index": '[{"masses": ["1", "1"], "price_index": true}]',
+    "string-index": '[{"masses": ["1", "1"], "price_index": "1"}]',
+    "index-past-grid": '[{"masses": ["1", "1"], "price_index": 3}]',
+    "missing-index": '[{"masses": ["1", "1"]}]',
+    "string-masses": '[{"masses": "11", "price_index": 1}]',
+    "string-segments": '"segments"',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SEGMENTS))
+def test_malformed_scheme_is_a_one_line_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "scheme.json"
+    aggregate = '{"values": ["1", "2"], "masses": ["1", "1"]}'
+    path.write_text(f'{{"aggregate": {aggregate}, "segments": {MALFORMED_SEGMENTS[case]}}}')
+    argv = ["validate", "--scheme", str(path), "--flo", "1", "--fhi", "2", "--model", "passive"]
+    assert main(argv) == 1
+    _single_error(capsys)
 
 
 @pytest.mark.parametrize("command,case", MALFORMED_CASES)

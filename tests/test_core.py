@@ -9,6 +9,7 @@ from segmarket import (
     MarketScheme,
     PriceWindow,
     Segment,
+    ValueGrid,
     demand,
     equal_revenue_market,
     grid,
@@ -23,7 +24,6 @@ from segmarket import (
     tail_value,
     uniform_revenue,
     validate_scheme,
-    window_from_values,
     window_uniform_revenue,
     zero_market,
 )
@@ -130,9 +130,31 @@ def test_window_basics():
         PriceWindow(-1, 0)
 
 
-def test_window_from_values(m1):
-    w = window_from_values(m1.grid, 2, 3)
-    assert (w.lo, w.hi) == (1, 2)
+def test_constructors_refuse_floats_and_bools(m1):
+    """The constructors own the literal policy: a float would be stored as its
+    binary expansion and a bool would pass for an index, so both are refused."""
+    g = grid([1, 2])
+    for build in (
+        lambda: Market(grid([1]), (0.1,)),
+        lambda: Market(g, (True, 1)),
+        lambda: ValueGrid((0.5, 1.0)),
+        lambda: PriceWindow(0.5, 1),
+        lambda: PriceWindow(0, 1.0),
+        lambda: PriceWindow(True, 1),
+        lambda: Segment(m1, True),
+        lambda: Segment(m1, 1.0),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_constructors_convert_literals(m1):
+    values, masses = [1, 2, 3, 6], ["0.36", "1/5", F("0.18"), "13/50"]
+    built = Market(grid(values), masses)
+    assert built == market(values, masses) == m1
+    assert all(type(x) is Fraction for x in built.masses)
+    assert ValueGrid(("1", 2, "3.0", F(6))) == m1.grid
+    assert all(type(v) is Fraction for v in ValueGrid(("1/2", 1)).values)
 
 
 def test_demand_and_revenue(m1):

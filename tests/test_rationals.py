@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ def test_rejects_exponents_past_the_digit_limit():
         with pytest.raises(ValueError, match="not a rational literal"):
             as_rational(text)
     assert as_rational("1e400") == 10**400
+    assert as_rational("1e4299") == 10**4299
     assert as_rational("1e-400") == Fraction(1, 10**400)
     assert as_rational(" 2.5E3 ") == 2500
 
@@ -54,12 +56,21 @@ def test_decimal_str_default_places():
 
 
 def test_decimal_str_rounds_half_to_even():
-    assert decimal_str(Fraction(1, 2), places=0) == "0"
-    assert decimal_str(Fraction(3, 2), places=0) == "2"
-    assert decimal_str(Fraction(25, 1000), places=2) == "0.02"
-    assert decimal_str(Fraction(35, 1000), places=2) == "0.04"
+    assert decimal_str(Fraction(25, 10**7)) == "0.000002"
+    assert decimal_str(Fraction(35, 10**7)) == "0.000004"
+    assert decimal_str(Fraction(-25, 10**7)) == "-0.000002"
 
 
-def test_decimal_str_rejects_negative_places():
-    with pytest.raises(ValueError):
-        decimal_str(Fraction(1), places=-1)
+def test_rejects_values_past_the_digit_limit():
+    """A value with more digits than the limit parses but could never be
+    printed, so it is refused as a literal; one digit fewer still parses."""
+    limit = sys.get_int_max_str_digits()
+    long_tail = "." + "0" * (limit - 1) + "1"  # no exponent, limit + 1 digits below
+    for text in (f"1e{limit}", f"1e-{limit}", f"-1e{limit}", f"{'9' * 9}e{limit - 1}", long_tail):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            as_rational(text)
+    assert as_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert as_rational(f"-1e-{limit - 1}") == Fraction(-1, 10 ** (limit - 1))
+    assert as_rational("9" * limit) == 10**limit - 1
+    assert as_rational(long_tail[:1] + long_tail[2:]) == Fraction(1, 10 ** (limit - 1))
+    assert as_rational(f"1/{'9' * limit}") == Fraction(1, 10**limit - 1)

@@ -46,9 +46,9 @@ def test_region_contains(m1, w23):
 
 def test_region_shape_is_checked():
     with pytest.raises(ValueError):
-        SurplusRegion("passive", (F(0), F(0)), (F(1), F(2)), (F(2), F(0)))
-    with pytest.raises(ValueError):
-        SurplusRegion("passive", (F(0), F(0)), (F(0), F(2)), (F(3), F(0)))
+        SurplusRegion("passive", F(1), F(2), F(5, 2))  # floors sum past the cap
+    flat = SurplusRegion("passive", F(1), F(2), F(3))  # a single point
+    assert flat.v_min == flat.v_seller == flat.v_buyer == (F(1), F(2))
 
 
 def test_mix_reaches_the_corners(m1, w23):
