@@ -235,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.top > 49 and not args.allow_large:
         raise ValueError("top > 49 is slow; pass --allow-large to run it anyway")
     if args.top > 49:
-        sys.stderr.write(f"warning: top={args.top} may take several minutes\n")
+        sys.stderr.write(f"warning: top={args.top} may take tens of seconds\n")
     lows = None
     if args.lows is not None:
         lows = [int(tok) for tok in args.lows.split(",") if tok.strip()]

@@ -73,9 +73,10 @@ def design_prefix_window(m: Market) -> PriceWindow:
     :func:`~segmarket.passive.is_feasible` holds. Feasibility is
     superset-monotone (a segmentation pricing inside a window also prices
     inside any window containing it), so the feasible prefixes are exactly
-    those reaching some least ``hi``, and a bisection over ``0..n-1`` finds it
-    in about ``log2 n`` feasibility checks. The full grid is always feasible
-    and is never checked.
+    those reaching some least ``hi``, and a bisection over ``0..p`` finds it
+    in about ``log2 p`` feasibility checks, where ``p`` is the least
+    unregulated optimal price: on ``[0, p]`` the market itself is a valid
+    one-segment scheme, so that window is never checked.
 
     That contract is all this function promises. Whether the result also
     gives buyers the largest guaranteed consumer surplus among *all* feasible
@@ -85,7 +86,7 @@ def design_prefix_window(m: Market) -> PriceWindow:
     """
     if m.is_zero():
         raise ZeroMarket("feasibility is undefined for a market with no buyers")
-    lo, hi = 0, len(m.grid) - 1
+    lo, hi = 0, opt_prices(m)[0]
     while lo < hi:
         mid = (lo + hi) // 2
         if is_feasible(m, PriceWindow(0, mid)):
@@ -124,15 +125,19 @@ class SweepRow:
         return Fraction(self.n_sufficient, self.n_sets) if self.n_sets else ZERO
 
 
-def _census(m: Market, exhaustive: bool) -> tuple[int, int, int, bool]:
+def _census(m: Market, exhaustive: bool, limit: Sequence[int]) -> tuple[int, int, int, bool, list]:
     """Count windows disjoint from the optimal prices, and how many are
-    feasible / pass the screening test."""
+    feasible / pass the screening test. The two pointers check no window
+    whose left end passes ``limit[hi]``, a bound on the feasible ones ending
+    at ``hi``; the returned ``reach`` is such a bound for ``m``, exact from
+    the two pointers and the identity (no bound) from the exhaustive loop."""
     # the maximal index runs that avoid every optimal price are the gaps
     # between consecutive ones, empty gaps included, which count nothing
     edges = (-1, *opt_prices(m), len(m.grid))
     ties = len(edges) > 3
     n_sets = n_feasible = n_sufficient = 0
     passes = _screen(m)
+    reach = list(range(len(m.grid)))  # a window holding an optimal price is feasible
     for left, right in zip(edges, edges[1:]):
         a, b = left + 1, right - 1
         size = b - a + 1
@@ -152,10 +157,11 @@ def _census(m: Market, exhaustive: bool) -> tuple[int, int, int, bool]:
             # number of feasibility checks
             best_lo = a - 1
             for hi in range(a, b + 1):
-                while best_lo + 1 <= hi and is_feasible(m, PriceWindow(best_lo + 1, hi)):
+                while best_lo < limit[hi] and is_feasible(m, PriceWindow(best_lo + 1, hi)):
                     best_lo += 1
                 n_feasible += best_lo - a + 1
-    return n_sets, n_feasible, n_sufficient, ties
+                reach[hi] = best_lo
+    return n_sets, n_feasible, n_sufficient, ties, reach
 
 
 def feasibility_sweep(
@@ -168,15 +174,28 @@ def feasibility_sweep(
     Masses are rescaled to integers before counting; feasibility and the
     screening test are both invariant under scaling, and small integers keep
     the exact arithmetic quick.
+
+    Each distinct low is counted once, from the highest down, and rows share
+    verdicts by the drop-below-floor lemma: if ``[a, b]`` is feasible for
+    ``m``, it stays feasible once the buyers valued below some ``t <= v_a``
+    are removed, since every segment keeps its revenue at each price ``>= t``
+    and can only lose revenue below it, so every instructed price stays
+    optimal. Row ``lo'`` is row ``lo < lo'`` without its buyers below
+    ``lo'``, so a value window ``[x, y]`` with ``x >= lo'`` that is
+    infeasible on row ``lo'`` is infeasible on row ``lo`` too: each row
+    passes its ``reach``, shifted to the next row's indices, as ``limit``.
     """
     if top < 1:
         raise BadRange("need top >= 1")
     low_list: Sequence[int] = tuple(lows) if lows is not None else tuple(range(1, top + 1))
-    rows = []
-    for lo in low_list:
-        if lo < 1 or lo > top:
-            raise BadRange("each low must satisfy 1 <= low <= top")
+    if any(lo < 1 or lo > top for lo in low_list):
+        raise BadRange("each low must satisfy 1 <= low <= top")
+    rows, reach, above = {}, [], top + 1
+    for lo in sorted(set(low_list), reverse=True):
+        shift = above - lo
+        limit = [*range(shift), *(r + shift for r in reach)]
         scaled = uniform_market(lo, top).scaled(Fraction(top - lo + 1))
-        n_sets, n_feasible, n_sufficient, ties = _census(scaled, exhaustive)
-        rows.append(SweepRow(lo, top, n_sets, n_feasible, n_sufficient, ties))
-    return tuple(rows)
+        n_sets, n_feasible, n_sufficient, ties, reach = _census(scaled, exhaustive, limit)
+        rows[lo] = SweepRow(lo, top, n_sets, n_feasible, n_sufficient, ties)
+        above = lo
+    return tuple(rows[lo] for lo in low_list)

@@ -165,6 +165,17 @@ def test_sweep_command(tmp_path, capsys):
 
 def test_sweep_guards_large_tops(capsys):
     assert main(["sweep", "--top", "50"]) == 1
+    assert main(["sweep", "--top", "50", "--lows", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("pass --allow-large") == 2
+
+
+def test_sweep_allow_large_warns_and_prints(capsys):
+    assert main(["sweep", "--top", "50", "--lows", "50", "--allow-large"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: top=50 may take tens of seconds\n"
+    assert captured.out == serialize.sweep_to_csv(feasibility_sweep(50, [50]))
 
 
 def test_validate_command(m1_file, tmp_path, capsys, m1):

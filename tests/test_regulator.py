@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from segmarket import PriceWindow, market, opt_prices
+from segmarket import PriceWindow, market, opt_prices, regulator, serialize
 from segmarket.errors import BadRange, HypothesisViolated, ZeroMarket
 from segmarket.lp import oracle_feasible
 from segmarket.passive import is_feasible, min_consumer_surplus
@@ -91,9 +93,9 @@ def test_design_prefix_window_matches_a_linear_scan_on_uniforms():
         assert design_prefix_window(m) == _linear_prefix(m), top
 
 
-def test_design_prefix_window_matches_a_linear_scan_on_random_markets():
-    rng = random.Random(5150)
-    for _ in range(50):
+def _random_design_markets(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 12)
         values = sorted(rng.sample(range(1, 400), n))
         grid_values = [Fraction(v, rng.choice((1, 2, 3, 7))) for v in values]
@@ -101,8 +103,35 @@ def test_design_prefix_window_matches_a_linear_scan_on_random_markets():
         masses = [Fraction(rng.choice((0, 0, 1, 3, 17)), rng.randint(1, 90)) for _ in grid_values]
         if not any(masses):
             masses[-1] = Fraction(1)
-        m = market(grid_values, masses)
+        yield market(grid_values, masses)
+
+
+def test_design_prefix_window_matches_a_linear_scan_on_random_markets():
+    for m in _random_design_markets(5150, 50):
         assert design_prefix_window(m) == _linear_prefix(m), m
+
+
+@pytest.fixture
+def feasibility_calls(monkeypatch):
+    """Every window ``regulator`` hands to ``is_feasible``, in call order."""
+    calls = []
+
+    def counting(m, w):
+        calls.append((m, w))
+        return is_feasible(m, w)
+
+    monkeypatch.setattr(regulator, "is_feasible", counting)
+    return calls
+
+
+def test_design_prefix_window_never_checks_an_optimal_price(feasibility_calls):
+    """A window holding an unregulated optimal price is feasible (the market
+    is its own one-segment scheme), so the bisection never checks one."""
+    uniforms = (uniform_market(1, top) for top in range(1, 71))
+    for m in (*uniforms, *_random_design_markets(6160, 200)):
+        feasibility_calls.clear()
+        assert design_prefix_window(m) == _linear_prefix(m), m
+        assert not any(set(opt_prices(m)) & set(w.indices()) for _, w in feasibility_calls), m
 
 
 @pytest.mark.parametrize("m", [market([1], [0]), market([1, 2], [0, 0])])
@@ -168,6 +197,74 @@ def test_sweep_pruned_equals_exhaustive():
 
 def test_sweep_pruned_equals_exhaustive_at_16():
     assert feasibility_sweep(16) == feasibility_sweep(16, exhaustive=True)
+
+
+def test_sweep_carry_cuts_the_feasibility_checks(feasibility_calls):
+    """Rows share infeasible verdicts downwards, so the whole top-24 census
+    takes at most 200 checks (380 with every row on its own)."""
+    feasibility_sweep(24)
+    assert 0 < len(feasibility_calls) <= 200
+
+
+def test_sweep_rows_equal_rows_computed_alone():
+    """The carry between rows changes no row, whatever order, repeats or
+    gaps the lows come in."""
+    alone = {}
+
+    def row(top, lo):
+        if (top, lo) not in alone:
+            alone[top, lo] = feasibility_sweep(top, [lo])[0]
+        return alone[top, lo]
+
+    for top in range(1, 13):
+        assert feasibility_sweep(top) == tuple(row(top, lo) for lo in range(1, top + 1))
+    rng = random.Random(1717)
+    for _ in range(80):
+        top = rng.randint(1, 30)
+        lows = [rng.randint(1, top) for _ in range(rng.choice((1, 2, 3, 6, 12)))]
+        assert feasibility_sweep(top, lows) == tuple(row(top, lo) for lo in lows), (top, lows)
+
+
+def test_sweep_reproduces_the_census_golden_rows():
+    """Every recorded census row comes back byte for byte, with the lows of
+    each top in ascending, descending and shuffled order."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "bench/golden/census.json").read_text())
+    by_top = {}
+    for key, line in golden["rows"].items():
+        top, lo = map(int, key.split(","))
+        by_top.setdefault(top, {})[lo] = line
+    rng = random.Random(2020)
+    for top, lines in by_top.items():
+        ascending = sorted(lines)
+        shuffled = rng.sample(ascending, len(ascending))
+        for lows in (ascending, ascending[::-1], shuffled):
+            expected = "\n".join([golden["header"], *(lines[lo] for lo in lows)]) + "\n"
+            assert serialize.sweep_to_csv(feasibility_sweep(top, lows)) == expected, (top, lows)
+
+
+def test_drop_below_floor_keeps_windows_feasible():
+    """If ``[a, b]`` is feasible, zeroing the masses below any index
+    ``t <= a`` keeps it feasible: every price at or above the floor keeps its
+    revenue in each segment and lower prices can only lose, so every
+    instructed price stays optimal."""
+    rng = random.Random(3030)
+    checked = 0
+    for _ in range(80):
+        values = sorted({F(rng.randint(1, 90), rng.randint(1, 4)) for _ in range(rng.randint(3, 12))})
+        masses = [F(rng.choice((0, 0, 1, 2, 5, 9)), rng.randint(1, 7)) for _ in values]
+        if not any(masses):
+            continue
+        m = market(values, masses)
+        for a in range(len(values)):
+            for b in range(a, len(values)):
+                w = PriceWindow(a, b)
+                if not is_feasible(m, w):
+                    continue
+                for t in range(1, a + 1):
+                    dropped = market(values, [F(0)] * t + masses[t:])
+                    assert is_feasible(dropped, w), (m, w, t)
+                    checked += 1
+    assert checked > 2000
 
 
 def test_sweep_respects_lows_selection():
