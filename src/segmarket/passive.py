@@ -11,9 +11,16 @@ One driver runs every such loop: each construction hands it a policy that
 picks the peel support, extra caps on the peel weight and the price, and
 step objects are built only for the constructions that return a run.
 
+The welfare-minimal construction also needs the least mass of floor-value
+buyers that must trade at the floor price. :func:`minimal_reduction` finds
+it constructively, by an exact search over the reserve that construction
+keeps (:func:`_least_floor_mass`); the LP oracle only checks the answer, in
+the tests and ``segmarket oracle``.
+
 Every function is exact and deterministic. The driver carries an iteration
 guard of ``2n + 2`` peels on an ``n``-value grid that turns a logic error
-into a :class:`~segmarket.errors.NonTermination` instead of a hang.
+into a :class:`~segmarket.errors.NonTermination` instead of a hang; the
+reserve search bounds its runs the same way.
 """
 
 from __future__ import annotations
@@ -24,14 +31,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Sequence
 
-from . import lp
 from .core import (
+    ZERO,
     Market,
     MarketScheme,
     PriceWindow,
     Segment,
     _check_window,
     _ray,
+    _unit_weights,
     equal_revenue_market,
     largest_dominated_er,
     opt_prices,
@@ -257,7 +265,8 @@ class ReducedWindow:
     ``floor`` is the highest index f in the window such that prices
     ``{f..hi}`` alone can still segment the whole market; ``floor_mass`` is
     the least mass of value-``floor`` buyers any such segmentation must sell
-    at the floor price (computed by the LP oracle).
+    at the floor price (computed by the reserve search of
+    :func:`_least_floor_mass`).
     """
 
     window: PriceWindow
@@ -270,18 +279,167 @@ class ReducedWindow:
 
 def minimal_reduction(m: Market, w: PriceWindow) -> ReducedWindow:
     """The reduced window of *w*: its highest floor ``f`` with ``{f..hi}``
-    feasible, found by scanning ``f`` down from ``hi``, and the least
-    value-``f`` mass sold at price ``f``, from
-    :func:`~segmarket.lp.oracle_min_floor_mass`.
+    feasible, and the least value-``f`` mass sold at price ``f``, from the
+    reserve search of :func:`_least_floor_mass`.
+
+    Feasibility of ``{f..hi}`` is monotone in ``f`` (a wider window keeps
+    every scheme of a narrower one), so the floor is found by galloping down
+    from ``hi`` (checking ``hi, hi-1, hi-3, hi-7, ...``) and bisecting the
+    last gap: one check when the floor is ``hi``, two when it is ``hi - 1``,
+    and about ``2 log2 d`` when it sits ``d`` places below ``hi``.
 
     Raises :class:`~segmarket.errors.InfeasibleWindow` when no floor works,
     that is when *w* itself is infeasible.
     """
-    for floor in range(w.hi, w.lo - 1, -1):
-        if is_feasible(m, PriceWindow(floor, w.hi)):
-            floor_mass = lp.oracle_min_floor_mass(m, w, floor)
-            return ReducedWindow(w, floor, floor_mass)
-    raise InfeasibleWindow("window cannot price every buyer passively")
+    hi = w.hi
+    floor, above = hi, hi + 1  # every floor at or past `above` is infeasible
+    while not is_feasible(m, PriceWindow(floor, hi)):
+        if floor == w.lo:
+            raise InfeasibleWindow("window cannot price every buyer passively")
+        floor, above = max(w.lo, 2 * floor - hi - 1), floor
+    while above - floor > 1:
+        mid = (floor + above) // 2
+        if is_feasible(m, PriceWindow(mid, hi)):
+            floor = mid
+        else:
+            above = mid
+    return ReducedWindow(w, floor, _least_floor_mass(m, PriceWindow(floor, hi)))
+
+
+def _least_floor_mass(m: Market, sub: PriceWindow) -> Fraction:
+    """Least mass of value-``f`` buyers sold at price ``f`` by a passive
+    segmentation priced in the feasible window ``sub = {f..hi}``, where no
+    higher floor is feasible; exact, by a search over the reserve.
+
+    Let :func:`_reserve_run` run the welfare-minimal peel with reserve
+    ``eta``, call ``R(eta)`` the value-weighted remainder it leaves and
+    ``s(eta)`` the value-``f`` mass it sells at price ``f``. Starting at
+    ``eta = 0``: stop when ``R(eta) = 0`` and return ``s(eta)``; when the
+    right slope ``R'`` is negative, take the Newton step
+    ``eta -= R / R'``; otherwise (a flat or rising piece) step to the run's
+    next breakpoint, the least reserve above ``eta`` at which a comparison
+    the run made flips.
+
+    Proved:
+
+    * Given its sequence of decisions, a run's residual is affine in the
+      reserve, and the reserves that lead to one sequence form an interval,
+      a *piece*. A Newton step on a piece lands exactly on the piece's root
+      when that root lies in the piece.
+    * At ``eta = m_f`` (all of the floor's mass) the reserve covers the
+      floor, so it never joins a peel priced above it. The run is then the
+      producer peel over ``sub``, which completes because ``sub`` is
+      feasible. So ``R`` has a root at or below ``m_f``, and so does every
+      larger reserve.
+    * Termination: ``eta`` only grows, and each run after the first starts
+      on a piece to the right of the last (a Newton step that misses its
+      root leaves its piece rightward, and a breakpoint starts the next
+      piece). A run makes at most ``2n + 2`` peels with finitely many
+      choices each, so there are finitely many pieces below ``m_f``. A
+      guard of ``2n + 2`` runs (seeded tests need at most 4) turns a logic
+      error into :class:`~segmarket.errors.NonTermination`.
+
+    Tested, not proved: ``s(eta0)``, at the root ``eta0`` the search
+    reaches, equals the least floor mass that
+    :func:`segmarket.lp.oracle_min_floor_mass` computes. The tests check it
+    on seeded random, adversarial (20-24 values, denominators near 10^30)
+    and reference markets; a per-instance certificate would prove it.
+    """
+    eta = ZERO
+    for _ in range(iteration_guard(len(m.grid))):
+        value, slope, sold, step = _reserve_run(m, sub, eta)
+        if not value:
+            return sold
+        if slope < 0:
+            eta -= value / slope
+        elif step is None:
+            raise InvariantViolation("reserve search found no root below the floor mass")
+        else:
+            eta += step
+    raise NonTermination("reserve search exceeded its iteration guard")
+
+
+def _flip(d0: int, d1: int, least: tuple[int, int] | None) -> tuple[int, int] | None:
+    """The lesser of *least* and the ``t > 0`` where ``d0 + d1 * t`` changes
+    sign, if it does; each as a ``(numerator, denominator)`` pair."""
+    if d0 and d1 and (d0 > 0) != (d1 > 0):
+        t0, t1 = abs(d0), abs(d1)
+        if least is None or t0 * least[1] < least[0] * t1:
+            return t0, t1
+    return least
+
+
+def _reserve_run(
+    m: Market, sub: PriceWindow, eta: Fraction
+) -> tuple[Fraction, Fraction, Fraction, Fraction | None]:
+    """The welfare-minimal peel of :func:`_welfare_minimal` over *sub* with
+    reserve ``eta + t``, taken as ``t -> 0+``, returning its remainder
+    instead of raising.
+
+    Each residual entry is an affine pair ``(a_i + b_i * t) / den`` over one
+    integer denominator, and pairs compare lexicographically (value, then
+    slope), so every choice is the one made just right of ``eta`` and every
+    slope is exact. Returns the value-weighted remainder and its slope, the
+    value-``f`` mass sold at price ``f``, and the least ``t > 0`` at which a
+    comparison the run made flips (None if none does): a floor mass crossing
+    the reserve, or a residual entry reaching zero, which is where a
+    binding ratio changes.
+    """
+    g, floor = m.grid, sub.lo
+    scale = eta.denominator // gcd(m._den, eta.denominator)
+    den = m._den * scale
+    a = [x * scale for x in m._nums]
+    b = [0] * len(a)
+    keep = eta.numerator * (den // eta.denominator)  # the reserve is (keep + den * t) / den
+    sold = 0
+    step = None
+    full = list(m.support())
+    guard = iteration_guard(len(g))
+    done = 0
+    while (peel := _seller_peel(full, sub)) is not None:
+        if done >= guard:
+            raise NonTermination("reserve run exceeded its iteration guard")
+        done += 1
+        support, _, top = peel
+        capped = False
+        if top != floor:
+            # a dearer peel may take only the floor's mass above the reserve
+            d0, d1 = a[floor] - keep, b[floor] - den
+            step = _flip(d0, d1, step)
+            if (d0, d1) > (0, 0):
+                capped = True
+                insort(support, floor)
+                a[floor], b[floor] = d0, d1
+        idx, weights = _unit_weights(g, support)
+        best0, best1, best_w = a[idx[0]], b[idx[0]], weights[0]
+        for i, u in zip(idx[1:], weights[1:]):
+            c = a[i] * best_w - best0 * u
+            if c < 0 or (not c and b[i] * best_w < best1 * u):
+                best0, best1, best_w = a[i], b[i], u
+        # the slice takes weights[k] * (best0 + best1 t) / best_w at idx[k]
+        c = gcd(best0, best1, best_w)
+        best0, best1, best_w = best0 // c, best1 // c, best_w // c
+        if best_w != 1:
+            a = [x * best_w for x in a]
+            b = [x * best_w for x in b]
+            den, keep, sold = den * best_w, keep * best_w, sold * best_w
+        for i, u in zip(idx, weights):
+            a[i] -= u * best0
+            b[i] -= u * best1
+            step = _flip(a[i], b[i], step)
+        if capped:
+            a[floor] += keep
+            b[floor] += den
+        elif top == floor:
+            sold += weights[idx.index(floor)] * best0
+        c = gcd(den, keep, sold, *a, *b)
+        if c > 1:
+            a, b = [x // c for x in a], [x // c for x in b]
+            den, keep, sold = den // c, keep // c, sold // c
+        full = [i for i in full if a[i] or b[i]]
+    value = sum((v * x for v, x in zip(g.values, a) if x), ZERO) / den
+    slope = sum((v * x for v, x in zip(g.values, b) if x), ZERO) / den
+    return value, slope, Fraction(sold, den), Fraction(*step) if step else None
 
 
 def welfare_minimal(m: Market, w: PriceWindow) -> SegmentationRun:

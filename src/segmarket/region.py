@@ -127,7 +127,7 @@ def mix_for_point(
     consumer surplus. Weight-zero corners contribute no segments. With
     *merge* the result is standardized to one segment per window price.
     """
-    # The passive floor-mass LP is solved once, for the region and the corners.
+    # The passive window is reduced once, for the region and the corners.
     red = passive.minimal_reduction(m, w) if model == "passive" else None
     region = _passive_region(m, w, red) if red is not None else active_region(m, w)
     if not region.contains(target):

@@ -81,8 +81,8 @@ def design_prefix_window(m: Market) -> PriceWindow:
     That contract is all this function promises. Whether the result also
     gives buyers the largest guaranteed consumer surplus among *all* feasible
     windows, anchored or not, is not proved here; acceptance criterion 10
-    and ``tests/test_regulator.py`` check it on the reference market and on
-    seeded random markets.
+    and ``tests/test_regulator.py`` check it on the reference market, on
+    uniform markets 1..R for R <= 14 and on seeded random markets.
     """
     if m.is_zero():
         raise ZeroMarket("feasibility is undefined for a market with no buyers")

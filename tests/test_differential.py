@@ -22,8 +22,8 @@ from segmarket import (
     scheme_surplus,
     uniform_revenue,
 )
-from segmarket.lp import oracle_feasible, oracle_max_ps, oracle_min_ps
-from segmarket.passive import is_feasible, producer_optimal
+from segmarket.lp import oracle_feasible, oracle_max_ps, oracle_min_floor_mass, oracle_min_ps
+from segmarket.passive import is_feasible, minimal_reduction, producer_optimal
 
 F = Fraction
 KINDS = ("huge", "tie", "zero", "plain")
@@ -88,6 +88,8 @@ def test_constructions_match_the_oracle_at_user_sizes(seed):
             ps = scheme_surplus(producer_optimal(m, w).scheme).ps
             assert oracle_max_ps(m, w, "passive") == ps, (kind, m, w)
             assert oracle_min_ps(m, w, "passive") == uniform_revenue(m), (kind, m, w)
+            red = minimal_reduction(m, w)
+            assert red.floor_mass == oracle_min_floor_mass(m, w, red.floor), (kind, m, w)
         marks = active.benchmarks(m, w)
         want = marks.max_welfare - marks.min_consumer_surplus
         assert oracle_max_ps(m, w, "active") == want, (kind, m, w)

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -20,7 +24,7 @@ from segmarket.errors import (
     NonTermination,
     ZeroMarket,
 )
-from segmarket.lp import oracle_feasible
+from segmarket.lp import oracle_feasible, oracle_min_floor_mass
 from segmarket.passive import (
     consumer_optimal,
     is_feasible,
@@ -200,6 +204,44 @@ def test_min_consumer_surplus_reference_market(m1, w23):
     assert min_consumer_surplus(m1, PriceWindow(0, 3)) == 0
 
 
+def _random_feasible_windows(seed, count):
+    """*count* seeded feasible windows on markets of 3-12 rational values,
+    with zero masses among them."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        size = rng.randint(3, 12)
+        values = sorted({F(rng.randint(1, 60), rng.choice((1, 1, 2, 3))) for _ in range(size)})
+        masses = [F(rng.choice((0, 0, 1, 2, 3, 5, 7, 11)), rng.randint(1, 13)) for _ in values]
+        if not any(masses):
+            continue
+        m = market(values, masses)
+        lo = rng.randrange(len(values))
+        w = PriceWindow(lo, rng.randint(lo, len(values) - 1))
+        if is_feasible(m, w):
+            found += 1
+            yield m, w
+
+
+def test_floor_mass_search_matches_the_lp():
+    """The reserve search's least floor mass is the LP's, on random windows."""
+    for m, w in _random_feasible_windows(1818, 320):
+        red = minimal_reduction(m, w)
+        assert red.floor_mass == oracle_min_floor_mass(m, w, red.floor), (m, w)
+
+
+def test_lp_stays_off_the_product_path():
+    """Importing the constructions, the region and the regulator loads no LP."""
+    code = (
+        "import sys\n"
+        "import segmarket.passive, segmarket.region, segmarket.regulator\n"
+        "sys.exit('segmarket.lp' in sys.modules)\n"
+    )
+    src = str(Path(passive.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_nontermination_guard_trips(m1, w23, monkeypatch):
     monkeypatch.setattr(passive, "iteration_guard", lambda n: 1)
     with pytest.raises(NonTermination):
@@ -210,6 +252,13 @@ def test_nontermination_guard_trips(m1, w23, monkeypatch):
         is_feasible(m1, w23)
     with pytest.raises(NonTermination):
         consumer_optimal(m1, w23)
+
+
+def test_reserve_search_guard_trips(m1, w23, monkeypatch):
+    """A search whose runs never reach a root stops at its run guard."""
+    monkeypatch.setattr(passive, "_reserve_run", lambda m, sub, eta: (F(1), F(-1), F(0), None))
+    with pytest.raises(NonTermination):
+        minimal_reduction(m1, w23)
 
 
 def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):

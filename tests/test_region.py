@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from segmarket import PriceWindow, lp, market, scheme_surplus, validate_scheme
+from segmarket import PriceWindow, lp, market, passive, scheme_surplus, validate_scheme
 from segmarket.errors import PointOutsideRegion
 from segmarket.region import (
     SurplusRegion,
@@ -74,19 +74,22 @@ def test_mix_reaches_an_interior_point(m1, w23):
     assert validate_scheme(mixed.scheme, w23, "passive").ok
 
 
-def test_passive_point_solves_the_floor_mass_lp_once(m1, w23, monkeypatch):
-    """The region and the welfare-minimal corner share one reduced window."""
-    calls = []
-    real = lp.solve
+def test_passive_point_reduces_the_window_once_without_the_lp(m1, w23, monkeypatch):
+    """The region and the welfare-minimal corner share one reduced window,
+    and finding it runs no LP."""
+    solves, reductions = [], []
+    real = passive.minimal_reduction
 
     def counting(*args):
-        calls.append(args)
+        reductions.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lp, "solve", counting)
+    monkeypatch.setattr(lp, "solve", lambda *args, **kwargs: solves.append(args))
+    monkeypatch.setattr(passive, "minimal_reduction", counting)
     mixed = mix_for_point(m1, w23, (F("0.90"), F("1.60")), "passive")
     assert mixed.weights == (F(0), F("1/2"), F("1/2"))
-    assert len(calls) == 1
+    assert solves == []
+    assert len(reductions) == 1
 
 
 def test_mix_merge_gives_standard_form(m1, w23):

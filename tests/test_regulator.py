@@ -72,6 +72,28 @@ def test_design_prefix_window_maximizes_protection(m1):
                 assert min_consumer_surplus(m1, cand) <= best
 
 
+def _most_protective(m):
+    """The largest least consumer surplus over every feasible window of *m*."""
+    n = len(m.grid)
+    windows = (PriceWindow(lo, hi) for lo in range(n) for hi in range(lo, n))
+    return max(min_consumer_surplus(m, w) for w in windows if is_feasible(m, w))
+
+
+def test_design_prefix_window_maximizes_protection_at_scale():
+    """The designed prefix guarantees buyers the most consumer surplus of any
+    feasible window, on uniform markets and seeded random ones."""
+    rng = random.Random(4242)
+    markets = [uniform_market(1, top) for top in range(1, 15)]
+    while len(markets) < 114:
+        values = sorted(rng.sample(range(1, 90), rng.randint(4, 10)))
+        masses = [F(rng.choice((0, 1, 2, 3, 5, 8)), rng.randint(1, 9)) for _ in values]
+        if any(masses):
+            markets.append(market(values, masses))
+    for m in markets:
+        best = min_consumer_surplus(m, design_prefix_window(m))
+        assert best == _most_protective(m), m
+
+
 def test_design_prefix_window_trivial_cases():
     bottom_heavy = market([1, 2], [1, 0])
     assert design_prefix_window(bottom_heavy) == PriceWindow(0, 0)
