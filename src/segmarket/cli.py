@@ -316,6 +316,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return INFEASIBLE
     except (OSError, ValueError, TypeError, SegmarketError) as exc:
+        if "integer string conversion;" in str(exc):  # an int past the str digit limit
+            exc = "a result has too many digits to print"
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -134,10 +134,6 @@ class Market:
             object.__setattr__(self, "_masses", tuple(Fraction(n, den) for n in self._nums))
         return self._masses
 
-    def _mass(self, i: int) -> Fraction:
-        """Mass at grid index *i*, without building the whole tuple."""
-        return Fraction(self._nums[i], self._den)
-
     def __repr__(self) -> str:
         return f"Market(grid={self.grid!r}, masses={self.masses!r})"
 

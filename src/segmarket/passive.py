@@ -7,17 +7,17 @@ share one move: repeatedly peel off the largest equal-revenue slice over a
 carefully chosen support, so that the instructed price ties for optimal and
 the leftover market keeps the structure the next step needs.
 
-One driver runs every such loop: each construction hands it a policy that
-picks the peel support, extra caps on the peel weight and the price, and
-step objects are built only for the constructions that return a run.
+Two loops run the peels. The generic driver :func:`_peel` runs four
+constructions (the unregulated, producer- and consumer-optimal splits and
+the feasibility check), each handing it a policy that picks the peel
+support, extra caps on the weight and the price. The reserve run
+:func:`_reserve_run` is both the welfare-minimal construction, which keeps a
+fixed reserve of floor-value buyers out of the dearer peels, and one run of
+the exact search by which :func:`minimal_reduction` finds the least such
+reserve (:func:`_least_floor_mass`); the LP oracle only checks the answer,
+in the tests and ``segmarket oracle``. Steps are built only when asked for.
 
-The welfare-minimal construction also needs the least mass of floor-value
-buyers that must trade at the floor price. :func:`minimal_reduction` finds
-it constructively, by an exact search over the reserve that construction
-keeps (:func:`_least_floor_mass`); the LP oracle only checks the answer, in
-the tests and ``segmarket oracle``.
-
-Every function is exact and deterministic. The driver carries an iteration
+Every function is exact and deterministic. Both loops carry an iteration
 guard of ``2n + 2`` peels on an ``n``-value grid that turns a logic error
 into a :class:`~segmarket.errors.NonTermination` instead of a hang; the
 reserve search bounds its runs the same way.
@@ -39,6 +39,7 @@ from .core import (
     Segment,
     _check_window,
     _ray,
+    _spread,
     _unit_weights,
     equal_revenue_market,
     largest_dominated_er,
@@ -312,13 +313,14 @@ def _least_floor_mass(m: Market, sub: PriceWindow) -> Fraction:
     higher floor is feasible; exact, by a search over the reserve.
 
     Let :func:`_reserve_run` run the welfare-minimal peel with reserve
-    ``eta``, call ``R(eta)`` the value-weighted remainder it leaves and
-    ``s(eta)`` the value-``f`` mass it sells at price ``f``. Starting at
-    ``eta = 0``: stop when ``R(eta) = 0`` and return ``s(eta)``; when the
-    right slope ``R'`` is negative, take the Newton step
-    ``eta -= R / R'``; otherwise (a flat or rising piece) step to the run's
-    next breakpoint, the least reserve above ``eta`` at which a comparison
-    the run made flips.
+    ``eta`` (slope 1), call ``R(eta)`` the value-weighted remainder it
+    leaves and ``s(eta)`` the value-``f`` mass it sells at price ``f``; the
+    construction is its slope-0 run at the answer, checked to sell exactly
+    that mass at the floor and leave nothing. Starting at ``eta = 0``: stop
+    when ``R(eta) = 0`` and return ``s(eta)``; when the right slope ``R'``
+    is negative, take the Newton step ``eta -= R / R'``; otherwise (a flat
+    or rising piece) step to the run's next breakpoint, the least reserve
+    above ``eta`` at which a comparison the run made flips.
 
     Proved:
 
@@ -347,7 +349,7 @@ def _least_floor_mass(m: Market, sub: PriceWindow) -> Fraction:
     """
     eta = ZERO
     for _ in range(iteration_guard(len(m.grid))):
-        value, slope, sold, step = _reserve_run(m, sub, eta)
+        value, slope, sold, step = _reserve_run(m, sub, eta, 1)
         if not value:
             return sold
         if slope < 0:
@@ -370,41 +372,43 @@ def _flip(d0: int, d1: int, least: tuple[int, int] | None) -> tuple[int, int] | 
 
 
 def _reserve_run(
-    m: Market, sub: PriceWindow, eta: Fraction
+    m: Market, sub: PriceWindow, eta: Fraction, slope: int, steps: list | None = None
 ) -> tuple[Fraction, Fraction, Fraction, Fraction | None]:
-    """The welfare-minimal peel of :func:`_welfare_minimal` over *sub* with
-    reserve ``eta + t``, taken as ``t -> 0+``, returning its remainder
-    instead of raising.
+    """The welfare-minimal peel over *sub* with reserve ``eta + slope * t``,
+    taken as ``t -> 0+``, returning its remainder instead of raising; steps
+    go to *steps* if given. *slope* 1 is one run of the search of
+    :func:`_least_floor_mass`; *slope* 0 fixes the reserve, and at the least
+    floor mass is the construction, required to sell exactly that mass at
+    the floor and leave nothing (:func:`_welfare_minimal`).
 
     Each residual entry is an affine pair ``(a_i + b_i * t) / den`` over one
-    integer denominator, and pairs compare lexicographically (value, then
-    slope), so every choice is the one made just right of ``eta`` and every
-    slope is exact. Returns the value-weighted remainder and its slope, the
-    value-``f`` mass sold at price ``f``, and the least ``t > 0`` at which a
-    comparison the run made flips (None if none does): a floor mass crossing
-    the reserve, or a residual entry reaching zero, which is where a
-    binding ratio changes.
+    integer denominator (``b_i = 0`` at slope 0), and pairs compare
+    lexicographically (value, then slope), so every choice is the one made
+    just right of ``eta`` and every slope is exact. Returns the
+    value-weighted remainder and its slope, the value-``f`` mass sold at
+    price ``f``, and the least ``t > 0`` at which a comparison the run made
+    flips (None if none does): a floor mass crossing the reserve, or a
+    residual entry reaching zero, which is where a binding ratio changes. A
+    peel of weight zero or a negative entry raises ``InvariantViolation``.
     """
     g, floor = m.grid, sub.lo
     scale = eta.denominator // gcd(m._den, eta.denominator)
     den = m._den * scale
     a = [x * scale for x in m._nums]
     b = [0] * len(a)
-    keep = eta.numerator * (den // eta.denominator)  # the reserve is (keep + den * t) / den
+    keep = eta.numerator * (den // eta.denominator)  # reserve: (keep + slope * den * t) / den
     sold = 0
     step = None
     full = list(m.support())
     guard = iteration_guard(len(g))
-    done = 0
     while (peel := _seller_peel(full, sub)) is not None:
-        if done >= guard:
-            raise NonTermination("reserve run exceeded its iteration guard")
-        done += 1
+        if (guard := guard - 1) < 0:
+            raise NonTermination("welfare-minimal run exceeded its iteration guard")
         support, _, top = peel
         capped = False
         if top != floor:
             # a dearer peel may take only the floor's mass above the reserve
-            d0, d1 = a[floor] - keep, b[floor] - den
+            d0, d1 = a[floor] - keep, b[floor] - slope * den
             step = _flip(d0, d1, step)
             if (d0, d1) > (0, 0):
                 capped = True
@@ -419,27 +423,37 @@ def _reserve_run(
         # the slice takes weights[k] * (best0 + best1 t) / best_w at idx[k]
         c = gcd(best0, best1, best_w)
         best0, best1, best_w = best0 // c, best1 // c, best_w // c
-        if best_w != 1:
+        if not (best0 or best1):
+            raise InvariantViolation("welfare-minimal peel stalled")
+        if best_w != 1:  # at slope 0 every b_i stays 0, so b is left alone
             a = [x * best_w for x in a]
-            b = [x * best_w for x in b]
+            b = [x * best_w for x in b] if slope else b
             den, keep, sold = den * best_w, keep * best_w, sold * best_w
         for i, u in zip(idx, weights):
             a[i] -= u * best0
             b[i] -= u * best1
-            step = _flip(a[i], b[i], step)
+            if a[i] < 0 or not a[i] and b[i] < 0:  # (a_i, b_i) < (0, 0)
+                raise InvariantViolation("welfare-minimal peel left negative mass")
+            if b[i] < 0 < a[i]:  # the one sign pattern of a residual entry that can flip
+                step = _flip(a[i], b[i], step)
         if capped:
             a[floor] += keep
-            b[floor] += den
+            b[floor] += slope * den
         elif top == floor:
             sold += weights[idx.index(floor)] * best0
         c = gcd(den, keep, sold, *a, *b)
         if c > 1:
-            a, b = [x // c for x in a], [x // c for x in b]
+            a, b = [x // c for x in a], [x // c for x in b] if slope else b
             den, keep, sold = den // c, keep // c, sold // c
+        if steps is not None:  # slice: weights * best0 / (c * den) = gamma * weights * v_low / L
+            low = g[idx[0]]
+            gamma = Fraction(best0 * g._reciprocals[0] * low.denominator, c * den * low.numerator)
+            piece = Segment(_spread(g, idx, weights, best0, c * den), top)
+            steps.append(ExtractionStep(tuple(idx), gamma, piece, _ray(g, a, den)))
         full = [i for i in full if a[i] or b[i]]
     value = sum((v * x for v, x in zip(g.values, a) if x), ZERO) / den
-    slope = sum((v * x for v, x in zip(g.values, b) if x), ZERO) / den
-    return value, slope, Fraction(sold, den), Fraction(*step) if step else None
+    rate = sum((v * x for v, x in zip(g.values, b) if x), ZERO) / den
+    return value, rate, Fraction(sold, den), Fraction(*step) if step else None
 
 
 def welfare_minimal(m: Market, w: PriceWindow) -> SegmentationRun:
@@ -457,24 +471,11 @@ def welfare_minimal(m: Market, w: PriceWindow) -> SegmentationRun:
 
 
 def _welfare_minimal(m: Market, w: PriceWindow, red: ReducedWindow) -> SegmentationRun:
-    sub, floor, reserve = red.reduced(), red.floor, red.floor_mass
-
-    def pick(residual: Market, full: list[int]):
-        peel = _seller_peel(full, sub)
-        if peel is None or peel[2] == floor:
-            return peel
-        # priced above the floor: the floor value may join the peel only
-        # with its reserve protected
-        at_floor = residual._mass(floor)
-        if at_floor <= reserve:
-            return peel
-        support, _, top = peel
-        insort(support, floor)
-        unit = equal_revenue_market(m.grid, support)
-        return support, [(at_floor - reserve) / unit._mass(floor)], top
-
     steps: list[ExtractionStep] = []
-    return _finished(m, w, _peel(m, "welfare-minimal", pick, steps), steps)
+    _, _, sold, _ = _reserve_run(m, red.reduced(), red.floor_mass, 0, steps)
+    if sold != red.floor_mass:
+        raise InvariantViolation("welfare-minimal run sold other than the floor mass")
+    return _finished(m, w, steps[-1].residual if steps else m, steps)
 
 
 def min_consumer_surplus(m: Market, w: PriceWindow) -> Fraction:

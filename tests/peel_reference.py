@@ -48,6 +48,29 @@ def producer_steps(g, masses, lo, hi):
     return steps, residual
 
 
+def welfare_minimal_steps(g, masses, floor, hi, reserve):
+    """Seller-favoring peels over ``floor..hi`` that keep *reserve* buyers
+    at the floor value out of every peel priced above the floor: such a peel
+    also covers the floor value when it holds more than the reserve, and
+    takes at most the mass above the reserve there. A peel whose top is the
+    floor is priced there like any other. Returns the steps as
+    ``(support, gamma, price, slice, residual)`` and the remainder."""
+    residual = list(masses)
+    steps = []
+    while any(residual[i] > 0 for i in range(floor, hi + 1)):
+        held = [i for i, x in enumerate(residual) if x > 0]
+        top = max(i for i in held if floor <= i <= hi)
+        support = [i for i in held if i == top or not floor <= i <= hi]
+        cap = list(residual)
+        if top != floor and residual[floor] > reserve:
+            support = sorted(support + [floor])
+            cap[floor] = residual[floor] - reserve
+        gamma, piece, _ = dense_peel(g, cap, support)
+        residual = [a - b for a, b in zip(residual, piece)]
+        steps.append((tuple(support), gamma, top, piece, residual))
+    return steps, residual
+
+
 def unregulated_steps(g, masses):
     """Peels over the whole remaining support, each priced at its cheapest
     value, until nothing is left."""

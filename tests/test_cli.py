@@ -141,6 +141,21 @@ def test_point_rejects_huge_exponents(m1_file, capsys):
         _single_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["region", "segment"])
+def test_results_past_the_digit_limit_are_a_one_line_error(tmp_path, capsys, command):
+    """Accepted literals whose results have too many digits to print (the
+    welfare cap here is 10^4300) exit 1 with one line saying so."""
+    path = tmp_path / "big.json"
+    path.write_text('{"values": ["1", "10"], "masses": ["0", "1e4299"]}')
+    argv = [command, "--market", str(path), "--flo", "1", "--fhi", "10", "--model", "passive"]
+    if command == "segment":
+        argv += ["--objective", "ps-max"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: a result has too many digits to print\n"
+    assert captured.out == ""
+
+
 def test_feasible_command(m1_file, capsys):
     assert main(["feasible", "--market", m1_file, "--flo", "2", "--fhi", "3"]) == 0
     assert capsys.readouterr().out.strip() == "feasible"

@@ -11,6 +11,7 @@ from hypothesis import given
 from segmarket import (
     PriceWindow,
     market,
+    opt_prices,
     scheme_surplus,
     tail_value,
     uniform_revenue,
@@ -204,6 +205,44 @@ def test_min_consumer_surplus_reference_market(m1, w23):
     assert min_consumer_surplus(m1, PriceWindow(0, 3)) == 0
 
 
+def test_reduction_and_welfare_minimal_scale_with_the_market():
+    """Scaling every mass by ``c > 0`` keeps the reduced floor, scales the
+    least floor mass and the least consumer surplus by ``c``, and scales
+    every welfare-minimal gamma, slice and residual by ``c`` with the same
+    supports and prices: checked without the LP on feasible windows of
+    seeded markets of 30-40 values, half of them anchored on an optimal
+    price."""
+    rng = random.Random(2424)
+    scales = (F(1, 3), F(7, 2), F(10**12 + 1, 10**6), F(2, 10**9 + 7))
+    checked = 0
+    while checked < 18:
+        values = sorted(rng.sample(range(1, 400), rng.randint(30, 40)))
+        masses = [F(rng.choice((0, 1, 2, 3, 5, 8, 13)), rng.randint(1, 50)) for _ in values]
+        if not any(masses):
+            continue
+        m = market(values, masses)
+        width = rng.randint(2, 10)
+        p = rng.choice(opt_prices(m)) if checked % 2 else rng.randrange(len(values))
+        lo = max(0, min(p - rng.randrange(width), len(values) - width))
+        w = PriceWindow(lo, lo + width - 1)
+        if not is_feasible(m, w):
+            continue
+        checked += 1
+        c = scales[checked % len(scales)]
+        big = m.scaled(c)
+        red, red_c = minimal_reduction(m, w), minimal_reduction(big, w)
+        assert (red_c.floor, red_c.floor_mass) == (red.floor, c * red.floor_mass), (m, w)
+        assert min_consumer_surplus(big, w) == c * min_consumer_surplus(m, w), (m, w)
+        steps, steps_c = welfare_minimal(m, w).steps, welfare_minimal(big, w).steps
+        assert [(s.support, s.segment.price_index) for s in steps_c] == [
+            (s.support, s.segment.price_index) for s in steps
+        ], (m, w)
+        for s, s_c in zip(steps, steps_c):
+            assert s_c.gamma == c * s.gamma, (m, w)
+            assert s_c.segment.market == s.segment.market.scaled(c), (m, w)
+            assert s_c.residual == s.residual.scaled(c), (m, w)
+
+
 def _random_feasible_windows(seed, count):
     """*count* seeded feasible windows on markets of 3-12 rational values,
     with zero masses among them."""
@@ -256,13 +295,16 @@ def test_nontermination_guard_trips(m1, w23, monkeypatch):
 
 def test_reserve_search_guard_trips(m1, w23, monkeypatch):
     """A search whose runs never reach a root stops at its run guard."""
-    monkeypatch.setattr(passive, "_reserve_run", lambda m, sub, eta: (F(1), F(-1), F(0), None))
+    monkeypatch.setattr(passive, "_reserve_run", lambda *_: (F(1), F(-1), F(0), None))
     with pytest.raises(NonTermination):
         minimal_reduction(m1, w23)
 
 
 def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
-    """A capped peel of weight zero raises, also under ``python -O``."""
+    """A peel of weight zero raises, also under ``python -O``: a capped peel
+    in the generic driver, and any peel of the reserve run behind the
+    welfare-minimal construction and its search."""
+    red = minimal_reduction(m1, w23)
     real = passive.largest_dominated_er
 
     def stalled(cap, support, extra_caps=()):
@@ -273,11 +315,25 @@ def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
     monkeypatch.setattr(passive, "largest_dominated_er", stalled)
     with pytest.raises(InvariantViolation, match="stalled"):
         consumer_optimal(m1, w23)
+    monkeypatch.undo()
+    # every grid index joins the reserve run's slice, so once one has emptied
+    # the next slice has weight zero
+    unit_weights = passive._unit_weights
+    monkeypatch.setattr(passive, "_unit_weights", lambda g, _: unit_weights(g, range(len(g))))
+    runs = [
+        lambda m: passive._welfare_minimal(m, w23, red),
+        lambda m: minimal_reduction(m, w23),
+    ]
+    for run in runs:
+        with pytest.raises(InvariantViolation, match="stalled"):
+            run(m1)
 
 
 def test_oversized_slice_is_a_typed_error(m1, w23, monkeypatch):
-    """A slice that does not fit under the residual raises in the driver's
-    subtraction, also under ``python -O``."""
+    """A slice that does not fit under the residual raises in the peel's
+    subtraction, also under ``python -O``: in the generic driver, and in the
+    reserve run behind the welfare-minimal construction and its search."""
+    red = minimal_reduction(m1, w23)
     real = passive.largest_dominated_er
 
     def doubled(cap, support, extra_caps=()):
@@ -290,7 +346,22 @@ def test_oversized_slice_is_a_typed_error(m1, w23, monkeypatch):
         lambda m: producer_optimal(m, w23),
         lambda m: is_feasible(m, w23),
         lambda m: consumer_optimal(m, w23),
+    ]
+    for run in runs:
+        with pytest.raises(InvariantViolation, match="negative mass"):
+            run(m1)
+    monkeypatch.undo()
+    unit_weights = passive._unit_weights
+
+    def twice(g, support):  # each support entry listed twice: the slice is taken off twice
+        idx, weights = unit_weights(g, support)
+        return [i for i in idx for _ in "ab"], [u for u in weights for _ in "ab"]
+
+    monkeypatch.setattr(passive, "_unit_weights", twice)
+    runs = [
+        lambda m: passive._welfare_minimal(m, w23, red),
         lambda m: welfare_minimal(m, w23),
+        lambda m: minimal_reduction(m, w23),
     ]
     for run in runs:
         with pytest.raises(InvariantViolation, match="negative mass"):

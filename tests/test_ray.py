@@ -5,9 +5,12 @@ must match ``peel_reference`` exactly (support, gamma, price, segment masses
 and residual masses) on every window of uniform 1..R for R <= 12 and on
 seeded random markets with ~10^30 mass denominators and non-integer grid
 values, and ``is_feasible`` must say feasible exactly when the reference
-remainder is zero. The remaining tests pin the ray's canonical form:
-markets built by ``Market(...)`` and derived ones compare and hash alike,
-every zero market is the same, and ``minus`` still refuses to go negative.
+remainder is zero. Every step of ``welfare_minimal`` must match the
+reference's reserve-keeping peels at the least floor mass, there and on the
+adversarial net of ``test_differential``. The remaining tests pin the ray's
+canonical form: markets built by ``Market(...)`` and derived ones compare
+and hash alike, every zero market is the same, and ``minus`` still refuses
+to go negative.
 """
 
 import random
@@ -25,10 +28,17 @@ from segmarket import (
     market,
     zero_market,
 )
-from segmarket.passive import is_feasible, producer_optimal, unregulated_consumer_optimal
+from segmarket.passive import (
+    is_feasible,
+    minimal_reduction,
+    producer_optimal,
+    unregulated_consumer_optimal,
+    welfare_minimal,
+)
 from segmarket.regulator import uniform_market
 
-from peel_reference import producer_steps, unregulated_steps
+from peel_reference import producer_steps, unregulated_steps, welfare_minimal_steps
+from test_differential import KINDS, adversarial
 
 F = Fraction
 
@@ -99,6 +109,40 @@ def test_random_huge_denominator_markets_match_the_reference(seed):
         lo = rng.randrange(n)
         windows.append(PriceWindow(lo, rng.randrange(lo, n)))
     _check_market(m, windows)
+
+
+def _check_welfare_minimal(m, w):
+    """The welfare-minimal run on a feasible window matches the reference
+    step by step at its least floor mass, leaves nothing, and sells exactly
+    that mass at the floor."""
+    red = minimal_reduction(m, w)
+    ref, remainder = welfare_minimal_steps(m.grid, m.masses, red.floor, w.hi, red.floor_mass)
+    assert _steps(welfare_minimal(m, w)) == ref, (m, w)
+    assert not any(remainder), (m, w)
+    sold = sum(piece[red.floor] for _, _, price, piece, _ in ref if price == red.floor)
+    assert sold == red.floor_mass, (m, w)
+
+
+def test_welfare_minimal_matches_the_reference():
+    """On every feasible window of uniform 1..R (R <= 10) and of 15 seeded
+    markets with ~10^30 mass denominators, and on the adversarial net."""
+    checked = 0
+    markets = [uniform_market(1, top) for top in range(1, 11)]
+    markets += [_random_market(random.Random(6000 + seed)) for seed in range(15)]
+    for m in markets:
+        n = len(m.grid)
+        for w in (PriceWindow(lo, hi) for lo in range(n) for hi in range(lo, n)):
+            if is_feasible(m, w):
+                _check_welfare_minimal(m, w)
+                checked += 1
+    for seed in range(7717, 7721):
+        rng = random.Random(seed)
+        for kind in KINDS:
+            m, w = adversarial(rng, kind)
+            if is_feasible(m, w):
+                _check_welfare_minimal(m, w)
+                checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize("seed", range(5))
