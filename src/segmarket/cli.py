@@ -28,7 +28,7 @@ from .errors import (
     PointOutsideRegion,
     SegmarketError,
 )
-from .rationals import as_rational, decimal_str
+from .rationals import _plain_int, as_rational, decimal_str
 
 USAGE_ERROR = 1
 INFEASIBLE = 2
@@ -133,11 +133,22 @@ def _load_scheme(path: str) -> MarketScheme:
         return serialize.scheme_from_obj(serialize.loads(fh.read()))
 
 
+def _int_token(token: str, what: str, skip: int = 0) -> int:
+    """``token[skip:]`` read as a plain decimal integer (an optional sign,
+    then ASCII digits, within the int string-digit limit); anything else is
+    an input error that names the token, shortened when long."""
+    k = _plain_int(token[skip:])
+    if k is None:
+        shown = repr(token) if len(token) <= 40 else f"{token[:20]!r}... ({len(token)} characters)"
+        raise ValueError(f"{what} must be a plain decimal integer: {shown}")
+    return k
+
+
 def _resolve_index(g: ValueGrid, token: str) -> int:
     """Grid values match exactly; '#k' addresses the k-th value, 1-based."""
     token = token.strip()
     if token.startswith("#"):
-        k = int(token[1:])
+        k = _int_token(token, "index", skip=1)
         if not 1 <= k <= len(g):
             raise ValueError(f"index {k} outside the grid (1..{len(g)})")
         return k - 1
@@ -238,7 +249,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sys.stderr.write(f"warning: top={args.top} may take tens of seconds\n")
     lows = None
     if args.lows is not None:
-        lows = [int(tok) for tok in args.lows.split(",") if tok.strip()]
+        tokens = [tok.strip() for tok in args.lows.split(",")]
+        lows = [_int_token(tok, "--lows entry") for tok in tokens if tok]
         if not lows:
             raise ValueError("--lows lists no number")
     rows = regulator.feasibility_sweep(args.top, lows)

@@ -13,8 +13,10 @@ A market is stored as one primitive integer ray: mass ``i`` is
 ``nums[i] / den`` with ``den > 0`` and ``gcd(*nums, den) == 1``, so every
 mass vector has exactly one ray and equality and hashing compare rays. The
 public ``Market.masses`` tuple of ``Fraction`` values is built from the ray
-on first read and cached; the peel arithmetic never reads it, so masses are
-built only at the edge (output, the LP and the active constructions). A grid
+on first read and cached; neither the peel arithmetic nor the file boundary
+reads it (``Market(...)`` builds the ray from the literals' integer pairs,
+and ``serialize`` prints each mass from the ray), so masses are built only
+for the LP, the active constructions and library callers. A grid
 keeps the integer reciprocals ``R_i = L / v_i``, where ``L`` is the lcm of
 the value numerators; the unit equal-revenue slice over an ascending support
 is then ``v_low / L`` times the integer vector ``R_s - R_next(s)`` (``R_top``
@@ -22,12 +24,15 @@ at the top), and a peel costs integer products and gcds plus one
 ``Fraction`` for its weight.
 
 Inputs are converted and checked in the constructors: ``ValueGrid(...)``
-and ``Market(...)`` convert every value and mass with ``as_rational`` (floats
-and bools are refused) and check shape, order and sign, and ``PriceWindow``
-and ``Segment`` take int indices only; :func:`grid`, :func:`market` and the
-``serialize`` decoders convert nothing themselves. Markets derived here from
-valid ones (sums, scalings, checked differences, equal-revenue slices) are
-nonnegative by construction and skip that pass.
+and ``Market(...)`` read every value and mass with the pair parser of
+``rationals`` (it accepts what ``as_rational`` accepts; floats and bools are
+refused) and check shape, order and sign on the integer pairs, and
+``PriceWindow`` and ``Segment`` take int indices only; :func:`grid`,
+:func:`market` and the ``serialize`` decoders convert nothing themselves.
+Markets derived here from valid ones (sums, scalings, checked differences,
+equal-revenue slices) are nonnegative by construction and skip that pass;
+a sum of many markets is taken on one common denominator with one
+reduction.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .errors import (
     SegmentationMismatch,
     ZeroMarket,
 )
-from .rationals import as_rational
+from .rationals import _pair, as_rational
 
 Model = Literal["passive", "active"]
 
@@ -57,18 +62,20 @@ ZERO = Fraction(0)
 @dataclass(frozen=True)
 class ValueGrid:
     """Strictly increasing positive buyer values shared by aligned markets;
-    the constructor converts each value with ``as_rational``."""
+    the constructor reads each value as an integer pair (see ``rationals``)
+    and holds them as Fractions."""
 
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(as_rational, self.values)))
-        if not self.values:
+        pairs = list(map(_pair, self.values))
+        if not pairs:
             raise ValueError("value grid must be non-empty")
-        if any(v <= 0 for v in self.values):
+        if any(n <= 0 for n, _ in pairs):
             raise ValueError("grid values must be positive")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if any(a * d >= c * b for (a, b), (c, d) in zip(pairs, pairs[1:])):
             raise ValueError("grid values must be strictly increasing")
+        object.__setattr__(self, "values", tuple([Fraction(n, d) for n, d in pairs]))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -101,9 +108,10 @@ def grid(values: Iterable[int | str | Fraction]) -> ValueGrid:
 class Market:
     """Nonnegative buyer mass at each grid value. Total mass need not be 1.
 
-    The constructor converts each mass with ``as_rational``. Held as the
-    primitive integer ray ``(_nums, _den)`` of the module docstring, which
-    equality and hashing compare; ``masses`` is its ``Fraction`` view.
+    The constructor reads each mass as an integer pair (see ``rationals``)
+    and builds the primitive integer ray ``(_nums, _den)`` of the module
+    docstring with one lcm and one gcd; equality and hashing compare the
+    ray, and ``masses`` is its ``Fraction`` view, built on first read.
     """
 
     grid: ValueGrid
@@ -112,19 +120,20 @@ class Market:
     _masses: tuple[Fraction, ...] | None = field(compare=False)
 
     def __init__(self, grid: ValueGrid, masses: Iterable[int | str | Fraction]) -> None:
-        _set = object.__setattr__
-        _set(self, "grid", grid)
-        _set(self, "_masses", tuple(map(as_rational, masses)))
+        pairs = list(map(_pair, masses))
+        den = lcm(*[d for _, d in pairs])
+        nums = [n * (den // d) for n, d in pairs]
+        common = gcd(den, *nums)
+        _set_grid(self, grid)
+        _set_nums(self, tuple(nums) if common == 1 else tuple([n // common for n in nums]))
+        _set_den(self, den // common)
+        _set_masses(self, None)
         self.__post_init__()
-        den = lcm(*(x.denominator for x in self._masses))
-        # each Fraction is in lowest terms, so this ray is already primitive
-        _set(self, "_nums", tuple(x.numerator * (den // x.denominator) for x in self._masses))
-        _set(self, "_den", den)
 
     def __post_init__(self) -> None:
-        if len(self.masses) != len(self.grid):
+        if len(self._nums) != len(self.grid):
             raise ValueError("mass vector length must match the grid")
-        if any(m < 0 for m in self.masses):
+        if any(n < 0 for n in self._nums):
             raise ValueError("masses must be nonnegative")
 
     @property
@@ -222,6 +231,18 @@ def zero_market(g: ValueGrid) -> Market:
     return _derived(g, (0,) * len(g), 1)
 
 
+def _total(g: ValueGrid, parts: Sequence[Market]) -> Market:
+    """The sum of *parts*, markets on *g*, added on their least common
+    denominator and reduced once."""
+    den = lcm(*[m._den for m in parts])
+    nums = [0] * len(g)
+    for m in parts:
+        scale = den // m._den
+        for i in compress(range(len(nums)), m._nums):
+            nums[i] += m._nums[i] * scale
+    return _ray(g, nums, den)
+
+
 def _check_same_grid(a: Market, b: Market) -> None:
     if a.grid is not b.grid and a.grid.values != b.grid.values:
         raise ValueError("markets live on different grids")
@@ -286,10 +307,10 @@ class MarketScheme:
     segments: tuple[Segment, ...]
 
     def segments_total(self) -> Market:
-        total = zero_market(self.aggregate.grid)
-        for seg in self.segments:
-            total = total.plus(seg.market)
-        return total
+        parts = [seg.market for seg in self.segments]
+        for part in parts:
+            _check_same_grid(self.aggregate, part)
+        return _total(self.aggregate.grid, parts)
 
 
 class SurplusSummary(NamedTuple):
@@ -483,16 +504,17 @@ def standardize(scheme: MarketScheme, w: PriceWindow) -> MarketScheme:
     """
     _check_window(scheme.aggregate.grid, w)
     g = scheme.aggregate.grid
-    merged = {i: zero_market(g) for i in w.indices()}
+    merged: dict[int, list[Market]] = {i: [] for i in w.indices()}
     for seg in scheme.segments:
         if seg.price_index not in w:
             raise PriceOutsideWindow(
                 f"segment priced at index {seg.price_index} is outside the window"
             )
-        merged[seg.price_index] = merged[seg.price_index].plus(seg.market)
+        _check_same_grid(scheme.aggregate, seg.market)
+        merged[seg.price_index].append(seg.market)
     return MarketScheme(
         scheme.aggregate,
-        tuple(Segment(merged[i], i) for i in w.indices()),
+        tuple(Segment(_total(g, merged[i]), i) for i in w.indices()),
     )
 
 

@@ -2,14 +2,18 @@
 
 Numbers travel as exact strings ("p/q" or finite decimals); indices visible
 in files are 1-based. Decoding checks the JSON shape and leaves the literals
-to the ``core`` constructors, which convert and check them, and semantic
-checks (does a scheme sum to its aggregate?) to ``validate_scheme`` so that
-defective inputs can be loaded and examined.
+to the ``core`` constructors, which read each one as an integer pair into a
+market's ray and check them, and semantic checks (does a scheme sum to its
+aggregate?) to ``validate_scheme`` so that defective inputs can be loaded
+and examined. Encoding prints each mass straight from the market's ray
+``nums / den``: ``n / g`` over ``den / g`` with ``g = gcd(n, den)``, the
+same text as ``str(Fraction(n, den))``, so no ``Fraction`` is built.
 """
 
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import Any, Iterable, Sequence
 
 from .core import (
@@ -26,10 +30,19 @@ from .region import SurplusRegion
 from .regulator import SweepRow
 
 
+def _mass_strs(m: Market) -> list[str]:
+    """Each mass of *m* as ``str`` renders its ``Fraction``, from the ray."""
+    den, out = m._den, []
+    for n in m._nums:
+        g = gcd(n, den)
+        out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return out
+
+
 def market_to_obj(m: Market) -> dict[str, Any]:
     return {
         "values": [str(v) for v in m.grid.values],
-        "masses": [str(v) for v in m.masses],
+        "masses": _mass_strs(m),
     }
 
 
@@ -50,7 +63,7 @@ def scheme_to_obj(scheme: MarketScheme) -> dict[str, Any]:
         "aggregate": market_to_obj(scheme.aggregate),
         "segments": [
             {
-                "masses": [str(v) for v in seg.market.masses],
+                "masses": _mass_strs(seg.market),
                 "price_index": seg.price_index + 1,
             }
             for seg in scheme.segments
@@ -95,9 +108,9 @@ def trace_to_obj(steps: Iterable[ExtractionStep]) -> list[dict[str, Any]]:
             {
                 "support": [i + 1 for i in step.support],
                 "gamma": str(step.gamma),
-                "segment": [str(v) for v in step.segment.market.masses],
+                "segment": _mass_strs(step.segment.market),
                 "price_index": step.segment.price_index + 1,
-                "residual": [str(v) for v in step.residual.masses],
+                "residual": _mass_strs(step.residual),
             }
         )
     return out

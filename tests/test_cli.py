@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through ``cli.main``."""
 
 import json
+import sys
 
 import pytest
 
@@ -154,6 +155,54 @@ def test_results_past_the_digit_limit_are_a_one_line_error(tmp_path, capsys, com
     captured = capsys.readouterr()
     assert captured.err == "error: a result has too many digits to print\n"
     assert captured.out == ""
+
+
+# tokens that are no plain decimal integer: Python's underscore digits
+# (int() reads "0_1" as 1), inner blanks, other scripts' digits, and, where
+# Python has an int string-digit limit (4300 by default), one past it
+BAD_INTEGER_TOKENS = {
+    "underscore": "0_1",
+    "inner-blank": " 2",
+    "arabic-indic": "\u0663",
+    "word": "x",
+    "empty": "",
+}
+if hasattr(sys, "get_int_max_str_digits"):
+    BAD_INTEGER_TOKENS["past-the-digit-limit"] = "1" * 5000
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGER_TOKENS))
+def test_index_tokens_must_be_plain_decimal_integers(m1_file, capsys, case):
+    """A '#k' index that is not a plain decimal integer exits 1 with one
+    error line naming the token, long ones shortened."""
+    token = "#" + BAD_INTEGER_TOKENS[case]
+    argv = ["region", "--market", m1_file, "--flo", token, "--fhi", "6", "--model", "passive"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    shown = repr(token) if len(token) <= 40 else f"{token[:20]!r}... (5001 characters)"
+    assert err == f"error: index must be a plain decimal integer: {shown}\n"
+
+
+@pytest.mark.parametrize("case", sorted(set(BAD_INTEGER_TOKENS) - {"empty", "inner-blank"}))
+def test_lows_tokens_must_be_plain_decimal_integers(capsys, case):
+    """Each --lows entry, stripped, must be a plain decimal integer; the
+    error line names the bad one."""
+    token = BAD_INTEGER_TOKENS[case]
+    assert main(["sweep", "--top", "8", "--lows", f"2,{token}"]) == 1
+    captured = capsys.readouterr()
+    shown = repr(token) if len(token) <= 40 else f"{token[:20]!r}... (5000 characters)"
+    assert captured.err == f"error: --lows entry must be a plain decimal integer: {shown}\n"
+    assert captured.out == ""
+
+
+def test_plain_integer_tokens_keep_working(m1_file, capsys):
+    """Signs and blanks around a --lows entry are still accepted."""
+    assert main(["feasible", "--market", m1_file, "--flo", "#+2", "--fhi", " #3 "]) == 0
+    assert capsys.readouterr().out == "feasible\n"
+    assert main(["sweep", "--top", "9", "--lows", " 2 , 5"]) == 0
+    assert capsys.readouterr().out == serialize.sweep_to_csv(feasibility_sweep(9, [2, 5]))
+    assert main(["feasible", "--market", m1_file, "--flo", "#-1", "--fhi", "#3"]) == 1
+    assert capsys.readouterr().err == "error: index -1 outside the grid (1..4)\n"
 
 
 def test_feasible_command(m1_file, capsys):
