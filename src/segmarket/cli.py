@@ -273,6 +273,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.i0 is not None and args.objective != "eta0":
+        raise ValueError("--i0 applies only to the eta0 objective")
     m = _load_market(args.market)
     w = _resolve_window(m.grid, args.flo, args.fhi)
     if args.dump_lp:

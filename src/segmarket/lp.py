@@ -21,20 +21,40 @@ The LP for a market ``x*`` and price window ``F``:
   much as any rival price ``v_j`` on that segment, where rivals range over
   the whole grid in the passive model but only over the window in the active
   model.
+
+The rows are assembled in integers, straight from the market's ray
+``x* = _nums / _den`` and the grid values scaled by the lcm ``L`` of their
+denominators, ``V = v * L``. Each is written once, as the primitive integer
+row the simplex starts from (gcd 1, same signs), with the positive rational
+``unit`` that turns it back into the row as written:
+
+* mass row ``i``: ``_den`` on every ``x[q, i]`` and ``_nums[i]`` on the
+  right, over their gcd ``c``; the unit is ``c / _den``;
+* instruction row ``(q, j)``: on ``x[q, i]``, ``V_q - V_j`` for
+  ``i >= max(q, j)``, ``V_q`` for ``q <= i < j`` and ``-V_j`` for
+  ``j <= i < q``, over ``t = gcd(V_q, V_j)``; the unit is ``t / L``.
+
+The oracles hand these rows to the simplex core; ``SegmentationLP.rows``,
+the ``LPRow`` view that :func:`dump_lp` and :func:`solve` read, is derived
+from them on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
-from .core import Market, Model, PriceWindow, ZERO, _check_window
+from .core import Market, Model, PriceWindow, ValueGrid, ZERO, _check_window
 from .errors import InfeasibleWindow, InvariantViolation
+from .rationals import _pair
 
 Relation = Literal["==", "<=", ">="]
 Status = Literal["optimal", "infeasible"]
+
+_SIGN = {"<=": 1, ">=": -1, "==": 0}  # the sign of a row's slack; "==" has none
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,18 @@ class LPResult:
     assignment: tuple[Fraction, ...] | None
 
 
+class _Row(NamedTuple):
+    """A row as the simplex starts from it: the nonzero integer coefficients
+    by column and the right-hand side, together primitive; ``unit`` is the
+    positive rational ``(num, den)`` that scales it back to the row as
+    written."""
+
+    coeffs: dict[int, int]
+    relation: Relation
+    rhs: int
+    unit: tuple[int, int] = (1, 1)
+
+
 def solve(
     num_vars: int,
     rows: Sequence[LPRow],
@@ -60,18 +92,58 @@ def solve(
 ) -> LPResult:
     """Solve min/max of ``objective . x`` subject to *rows* and ``x >= 0``.
 
+    Every coefficient, right-hand side and objective entry is read as an
+    exact rational through ``rationals._pair``, so floats and bools raise
+    TypeError as they do in ``Market(...)``. Each row becomes a primitive
+    integer row (times the lcm of its denominators, over its gcd) and the
+    objective an integer vector over one positive scale; :func:`_simplex`
+    solves the result, the same core the oracles call on the rows
+    :func:`build_lp` assembles.
+    """
+    if len(objective) != num_vars:
+        raise ValueError("objective length must equal the variable count")
+    lines = []
+    for row in rows:
+        if len(row.coeffs) != num_vars:
+            raise ValueError(f"row {row.name} has the wrong width")
+        *coeffs, rhs = _primitive([*row.coeffs, row.rhs])
+        lines.append(_Row({j: c for j, c in enumerate(coeffs) if c}, row.relation, rhs))
+    *cost, scale = _primitive([*objective, 1])
+    return _simplex(num_vars, lines, {j: c for j, c in enumerate(cost) if c}, scale, sense)
+
+
+def _primitive(values: Sequence[int | str | Fraction]) -> list[int]:
+    """*values* read as exact rationals, times the lcm of their denominators,
+    over the gcd of the results: the primitive integer vector with the same
+    signs."""
+    pairs = [_pair(v) for v in values]
+    scale = lcm(*[d for _, d in pairs])
+    ints = [n * (scale // d) for n, d in pairs]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _simplex(
+    num_vars: int,
+    rows: Sequence[_Row],
+    objective: dict[int, int],
+    scale: int,
+    sense: Literal["min", "max"],
+) -> LPResult:
+    """Min/max of ``objective . x / scale`` subject to the integer *rows* and
+    ``x >= 0``; *scale* is positive and *objective* holds nonzero entries.
+
     Two-phase simplex with Bland's rule, so it terminates on every input. The
     tableau is fraction-free and sparse: a row is a ``{column: int}`` dict of
     its nonzeros, kept primitive (any positive multiple of an equation is the
     same equation), and a basic variable's value is the row's right-hand side
-    over its own coefficient. Sign and ratio tests are exact, so the pivots
-    are those a Fraction tableau would take; the value and assignment come
-    back as Fractions. Unboundedness raises RuntimeError: the segmentation
-    polytopes this module builds are bounded, so hitting it means a
-    malformed program.
+    over its own coefficient. The rows come in primitive: an artificial
+    enters with coefficient 1, so a row's scale would weight phase 1. Sign
+    and ratio tests are exact, so the pivots are those a Fraction tableau
+    would take; the value and assignment come back as Fractions.
+    Unboundedness raises RuntimeError: the segmentation polytopes this module
+    builds are bounded, so hitting it means a malformed program.
     """
-    if len(objective) != num_vars:
-        raise ValueError("objective length must equal the variable count")
     # Columns: structural variables, then slacks, then one artificial slot
     # per row (column art_start + i), then the right-hand side and, in cost
     # rows only, their positive denominator: cost = row / row[den].
@@ -81,17 +153,18 @@ def solve(
     tableau: list[dict[int, int]] = []
     basis: list[int] = []
     slack = num_vars
-    for i, row in enumerate(rows):
-        if len(row.coeffs) != num_vars:
-            raise ValueError(f"row {row.name} has the wrong width")
-        line = _integer_row([*enumerate(row.coeffs), (rhs, row.rhs)])
-        sign = {"<=": 1, ">=": -1, "==": 0}[row.relation]
+    for i, (coeffs, relation, b, _) in enumerate(rows):
+        sign = _SIGN[relation]
         # Sign the row so its rhs is >= 0 and, when the rhs is 0, its slack
         # is +1: such a row starts basic on its slack, the rest on an
         # artificial.
-        if line.get(rhs, 0) < 0 or (sign < 0 and rhs not in line):
-            line = {j: -v for j, v in line.items()}
-            sign = -sign
+        if b < 0 or (sign < 0 and not b):
+            line = {j: -v for j, v in coeffs.items()}
+            b, sign = -b, -sign
+        else:
+            line = dict(coeffs)
+        if b:
+            line[rhs] = b
         if sign:
             line[slack] = sign
             slack += 1
@@ -126,7 +199,8 @@ def solve(
 
     # Phase 2 over the original objective.
     flip = -1 if sense == "max" else 1
-    cost = _integer_row([*((j, flip * v) for j, v in enumerate(objective)), (den, 1)])
+    cost = {j: flip * v for j, v in objective.items()}
+    cost[den] = scale
     cost = _iterate(tableau, basis, cost, art_start, rhs)
     value = Fraction(-cost.get(rhs, 0), cost[den])
     x = [ZERO] * num_vars
@@ -134,16 +208,6 @@ def solve(
         if b < num_vars:
             x[b] = Fraction(line.get(rhs, 0), line[b])
     return LPResult("optimal", flip * value, tuple(x))
-
-
-def _integer_row(entries: Sequence[tuple[int, Fraction]]) -> dict[int, int]:
-    """The nonzero ``(column, value)`` entries as a primitive integer row with
-    the same signs: times the lcm of the denominators, over the numerators' gcd."""
-    values = [(j, Fraction(v)) for j, v in entries if v]
-    scale = lcm(*(v.denominator for _, v in values))
-    line = {j: v.numerator * (scale // v.denominator) for j, v in values}
-    g = gcd(*line.values())
-    return {j: v // g for j, v in line.items()} if g > 1 else line
 
 
 def _combine(line: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
@@ -211,13 +275,38 @@ def _pivot(tableau: list[dict[int, int]], basis: list[int], row: int, col: int) 
 
 @dataclass(frozen=True)
 class SegmentationLP:
-    """A segmentation LP instance: its rows, and which ``x[q, i]`` each
-    column holds, so objectives and renderings can address variables."""
+    """A segmentation LP instance: its integer rows (mass rows in grid order,
+    then one instruction row per ``(q, j)`` of *pairs*), and which
+    ``x[q, i]`` each column holds, so objectives and renderings can address
+    variables."""
 
     market: Market
     model: Model
     columns: tuple[tuple[int, int], ...]  # column -> (price index q, grid index i)
-    rows: tuple[LPRow, ...]
+    pairs: tuple[tuple[int, int], ...]  # instruction row -> (price q, rival j)
+    int_rows: tuple[_Row, ...]
+
+    @cached_property
+    def rows(self) -> tuple[LPRow, ...]:
+        """The rows as written: each integer row times its unit, as a dense
+        ``Fraction`` row named after what it constrains."""
+        g = self.market.grid
+        names = [f"mass[v={v}]" for v in g.values]
+        names += [f"opt[p={g[q]},rival={g[j]}]" for q, j in self.pairs]
+        out = []
+        for name, (coeffs, relation, rhs, (num, den)) in zip(names, self.int_rows):
+            dense = [ZERO] * len(self.columns)
+            for k, c in coeffs.items():
+                dense[k] = Fraction(c * num, den)
+            out.append(LPRow(name, tuple(dense), relation, Fraction(rhs * num, den)))
+        return tuple(out)
+
+
+def _scaled_values(g: ValueGrid) -> tuple[int, list[int]]:
+    """``(L, V)``: the lcm ``L`` of the grid's denominators and the values
+    times it, ``V[i] = v_i * L``, all integers."""
+    big = lcm(*[v.denominator for v in g.values])
+    return big, [v.numerator * (big // v.denominator) for v in g.values]
 
 
 def build_lp(
@@ -226,38 +315,43 @@ def build_lp(
     model: Model,
     price_indices: Sequence[int] | None = None,
 ) -> SegmentationLP:
-    """Assemble the segmentation LP.
+    """Assemble the segmentation LP as primitive integer rows (see the module
+    docstring), read straight from the market's ray and the scaled grid.
 
     *price_indices* restricts which window prices get a segment (defaults to
-    all of them); instruction rows still compare against the full rival set
-    of the model.
+    all of them); they must be distinct. Instruction rows still compare
+    against the full rival set of the model.
     """
     _check_window(m.grid, w)
     prices = tuple(price_indices) if price_indices is not None else tuple(w.indices())
     if any(q not in w for q in prices):
         raise ValueError("segment prices must lie inside the window")
+    if len(set(prices)) != len(prices):
+        raise ValueError("segment prices must be distinct")
     n = len(m.grid)
     columns = tuple((q, i) for q in prices for i in range(n))
-    col = {qi: k for k, qi in enumerate(columns)}
-    g = m.grid
-    rows: list[LPRow] = []
-    for i in range(n):
-        coeffs = [ZERO] * len(columns)
-        for q in prices:
-            coeffs[col[(q, i)]] = Fraction(1)
-        rows.append(LPRow(f"mass[v={g[i]}]", tuple(coeffs), "==", m.masses[i]))
+    den = m._den
+    rows = []
+    for i, num in enumerate(m._nums):
+        c = gcd(den, num) if prices else num or 1
+        coeffs = dict.fromkeys(range(i, len(columns), n), den // c)
+        rows.append(_Row(coeffs, "==", num // c, (c, den)))
+    big, values = _scaled_values(m.grid)
     rivals = range(n) if model == "passive" else w.indices()
-    for q in prices:
+    pairs = []
+    for base, q in zip(range(0, len(columns), n), prices):
         for j in rivals:
             if j == q:
                 continue
-            coeffs = [ZERO] * len(columns)
-            for i in range(q, n):
-                coeffs[col[(q, i)]] += g[q]
-            for i in range(j, n):
-                coeffs[col[(q, i)]] -= g[j]
-            rows.append(LPRow(f"opt[p={g[q]},rival={g[j]}]", tuple(coeffs), ">=", ZERO))
-    return SegmentationLP(m, model, columns, tuple(rows))
+            t = gcd(values[q], values[j])
+            vq, vj = values[q] // t, values[j] // t
+            lo, hi = (q, j) if q < j else (j, q)
+            coeffs = dict.fromkeys(range(base + lo, base + hi), vq if q < j else -vj)
+            for k in range(base + hi, base + n):
+                coeffs[k] = vq - vj
+            rows.append(_Row(coeffs, ">=", 0, (t, big)))
+            pairs.append((q, j))
+    return SegmentationLP(m, model, columns, tuple(pairs), tuple(rows))
 
 
 def dump_lp(lp: SegmentationLP, objective: Sequence[Fraction] | None = None) -> str:
@@ -284,34 +378,32 @@ def dump_lp(lp: SegmentationLP, objective: Sequence[Fraction] | None = None) -> 
     return "\n".join(lines)
 
 
-def _surplus_objective(lp: SegmentationLP, kind: Literal["cs", "ps"]) -> list[Fraction]:
-    g = lp.market.grid
-    out = []
-    for q, i in lp.columns:
-        if i < q:
-            out.append(ZERO)
-        elif kind == "cs":
-            out.append(g[i] - g[q])
-        else:
-            out.append(g[q])
-    return out
+def _surplus_objective(lp: SegmentationLP, kind: Literal["cs", "ps"]) -> tuple[dict[int, int], int]:
+    """The consumer or producer surplus of a segmentation as ``(c, L)``:
+    ``c . x / L``, with ``c`` the nonzero integer coefficients by column."""
+    big, values = _scaled_values(lp.market.grid)
+    out = {}
+    for k, (q, i) in enumerate(lp.columns):
+        if i >= q and (c := values[i] - values[q] if kind == "cs" else values[q]):
+            out[k] = c
+    return out, big
 
 
 def oracle_feasible(m: Market, w: PriceWindow, model: Model) -> bool:
     """Whether any model-consistent segmentation prices everything in the window."""
     lp = build_lp(m, w, model)
-    result = solve(len(lp.columns), lp.rows, [ZERO] * len(lp.columns))
-    return result.status == "optimal"
+    return _simplex(len(lp.columns), lp.int_rows, {}, 1, "min").status == "optimal"
 
 
 def _optimum(
     lp: SegmentationLP,
-    objective: Sequence[Fraction],
+    objective: tuple[dict[int, int], int],
     sense: Literal["min", "max"],
     infeasible: str = "no valid segmentation prices everything in the window",
 ) -> Fraction:
-    """The optimal value, or InfeasibleWindow with message *infeasible*."""
-    result = solve(len(lp.columns), lp.rows, objective, sense)
+    """The optimal value of ``c . x / L`` for ``objective = (c, L)``, or
+    InfeasibleWindow with message *infeasible*."""
+    result = _simplex(len(lp.columns), lp.int_rows, *objective, sense)
     if result.status != "optimal":
         raise InfeasibleWindow(infeasible)
     if result.value is None:
@@ -341,9 +433,7 @@ def oracle_min_floor_mass(m: Market, w: PriceWindow, floor: int) -> Fraction:
     if floor not in w:
         raise ValueError("floor must lie inside the window")
     lp = build_lp(m, w, "passive", price_indices=range(floor, w.hi + 1))
-    objective = [ZERO] * len(lp.columns)
-    objective[lp.columns.index((floor, floor))] = Fraction(1)
     return _optimum(
-        lp, objective, "min",
+        lp, ({lp.columns.index((floor, floor)): 1}, 1), "min",
         "no passive segmentation prices everything in the reduced window",
     )

@@ -1,16 +1,71 @@
-"""Independent cross-check for the simplex: exact vertex enumeration.
+"""Independent cross-checks for the LP oracle.
 
-Every LP handed to :func:`brute_force` must be bounded (the callers include a
-box row), so a nonempty feasible set has at least one vertex and the optimum
-of a linear objective is attained at one. The enumeration tries every way to
-make ``num_vars`` constraints tight, keeps the feasible intersections, and
-scans the objective over them. Exponential, fine for a handful of variables.
+* :func:`brute_force` checks the simplex by exact vertex enumeration. Every
+  LP handed to it must be bounded (the callers include a box row), so a
+  nonempty feasible set has at least one vertex and the optimum of a linear
+  objective is attained at one. The enumeration tries every way to make
+  ``num_vars`` constraints tight, keeps the feasible intersections, and
+  scans the objective over them. Exponential, fine for a handful of
+  variables.
+* :func:`dense_rows` and :func:`dense_dump` check the integer assembly of
+  ``build_lp``: they write the segmentation LP as dense ``Fraction`` rows
+  straight from ``Market.masses`` and the grid values, and render them as
+  ``dump_lp`` does.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from segmarket.lp import LPRow
+
+ZERO = Fraction(0)
+
+
+def dense_rows(m, w, model, price_indices=None):
+    """``(columns, rows)`` of the segmentation LP, one dense Fraction row per
+    constraint: mass rows in grid order, then the instruction rows."""
+    prices = tuple(price_indices) if price_indices is not None else tuple(w.indices())
+    n = len(m.grid)
+    columns = tuple((q, i) for q in prices for i in range(n))
+    col = {qi: k for k, qi in enumerate(columns)}
+    g = m.grid
+    rows = []
+    for i in range(n):
+        coeffs = [ZERO] * len(columns)
+        for q in prices:
+            coeffs[col[(q, i)]] = Fraction(1)
+        rows.append(LPRow(f"mass[v={g[i]}]", tuple(coeffs), "==", m.masses[i]))
+    rivals = range(n) if model == "passive" else w.indices()
+    for q in prices:
+        for j in rivals:
+            if j == q:
+                continue
+            coeffs = [ZERO] * len(columns)
+            for i in range(q, n):
+                coeffs[col[(q, i)]] += g[q]
+            for i in range(j, n):
+                coeffs[col[(q, i)]] -= g[j]
+            rows.append(LPRow(f"opt[p={g[q]},rival={g[j]}]", tuple(coeffs), ">=", ZERO))
+    return columns, tuple(rows)
+
+
+def dense_dump(m, model, columns, rows):
+    """The text ``dump_lp`` writes for these rows, with no objective."""
+    g = m.grid
+    names = [f"x[p={g[q]},v={g[i]}]" for q, i in columns]
+
+    def term_list(coeffs):
+        parts = []
+        for c, name in zip(coeffs, names):
+            if c != 0:
+                parts.append(f"{'+ ' if c > 0 and parts else ''}{c}*{name}")
+        return " ".join(parts) if parts else "0"
+
+    lines = [f"model: {model}", "subject to:"]
+    for row in rows:
+        lines.append(f"  {row.name}: {term_list(row.coeffs)} {row.relation} {row.rhs}")
+    lines.append("  all variables >= 0")
+    return "\n".join(lines)
 
 
 def _solve_square(system):

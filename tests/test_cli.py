@@ -302,6 +302,19 @@ def test_oracle_eta0_needs_floor(m1_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("objective", ["feasible", "min-cs", "max-ps", "min-ps"])
+def test_oracle_i0_needs_eta0(m1_file, tmp_path, capsys, objective):
+    dump = tmp_path / "lp.txt"
+    code = main([
+        "oracle", "--market", m1_file, "--flo", "2", "--fhi", "3",
+        "--model", "passive", "--objective", objective, "--i0", "banana",
+        "--dump-lp", str(dump),
+    ])
+    assert code == 1
+    _single_error(capsys)
+    assert not dump.exists()
+
+
 def test_usage_errors(m1_file, tmp_path):
     assert main([]) == 1
     assert main(["segment"]) == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,7 +20,7 @@ from segmarket.lp import (
     solve,
 )
 
-from lp_reference import brute_force
+from lp_reference import brute_force, dense_dump, dense_rows
 
 F = Fraction
 
@@ -72,6 +73,22 @@ def test_solve_rejects_bad_widths():
         solve(2, [], [F(1)], "min")
     with pytest.raises(ValueError):
         solve(1, [LPRow("r", (F(1), F(1)), "<=", F(1))], [F(1)], "min")
+
+
+@pytest.mark.parametrize("rows,objective", [
+    ([LPRow("r", (0.1,), "<=", F(1))], [F(1)]),
+    ([LPRow("r", (F(1),), "<=", 0.5)], [F(1)]),
+    ([LPRow("r", (F(1),), "<=", F(1))], [0.3]),
+    ([LPRow("r", (True,), "<=", F(1))], [F(1)]),
+    ([LPRow("r", (F(1),), "<=", True)], [F(1)]),
+    ([LPRow("r", (F(1),), "<=", F(1))], [False]),
+])
+def test_solve_refuses_floats_and_bools(rows, objective):
+    """Coefficients, right-hand sides and objective entries are read like
+    ``Market`` masses: a float or a bool is a TypeError, not its binary
+    expansion or 1."""
+    with pytest.raises(TypeError):
+        solve(1, rows, objective, "max")
 
 
 def test_solve_terminates_on_beales_cycling_example():
@@ -129,7 +146,7 @@ def test_solve_leaves_its_arguments_unchanged():
 
 def test_optimum_without_a_value_is_a_typed_error(m1, w23, monkeypatch):
     """The invariant holds under ``python -O`` too: it raises, not asserts."""
-    monkeypatch.setattr(lp, "solve", lambda *args: LPResult("optimal", None, None))
+    monkeypatch.setattr(lp, "_simplex", lambda *args: LPResult("optimal", None, None))
     with pytest.raises(InvariantViolation):
         oracle_min_cs(m1, w23, "passive")
 
@@ -175,6 +192,60 @@ def test_build_lp_rejects_bad_inputs(m1):
         build_lp(m1, PriceWindow(1, 4), "passive")
     with pytest.raises(ValueError):
         build_lp(m1, PriceWindow(1, 2), "passive", price_indices=[0])
+    with pytest.raises(ValueError):
+        build_lp(m1, PriceWindow(1, 2), "passive", price_indices=[1, 2, 1])
+
+
+def _assembly_cases():
+    """Seeded markets with integer, fractional and 10**30-denominator values
+    and masses, zero masses included, each with a window and a price subset."""
+    rng = random.Random(2417)
+    huge = 10**30 + 7
+    yield market([1, 2, 3, 6], ["0.36", "0.20", "0.18", "0.26"]), PriceWindow(1, 2), None
+    yield market([1, 2, 3], [0, 0, 0]), PriceWindow(0, 2), None
+    for trial in range(240):
+        n = rng.randint(2, 9)
+        d = [1, rng.randint(2, 12), huge][trial % 3]
+        values = sorted({F(rng.randint(1, 50 * d), d) for _ in range(n)})
+        n = len(values)
+        masses = [
+            0 if rng.random() < 0.25 else F(rng.randint(1, huge), rng.choice([1, 100, huge]))
+            for _ in range(n)
+        ]
+        lo = rng.randrange(n)
+        w = PriceWindow(lo, rng.randrange(lo, n))
+        subset = [q for q in w.indices() if rng.random() < 0.6]
+        yield market(values, masses), w, subset if trial % 2 else None
+
+
+def test_build_lp_rows_match_the_dense_fraction_builder():
+    """The integer assembly, read back through ``rows`` and ``dump_lp``, is
+    the dense Fraction builder's LP row for row and byte for byte."""
+    for m, w, subset in _assembly_cases():
+        for model in ("passive", "active"):
+            lp = build_lp(m, w, model, subset)
+            columns, rows = dense_rows(m, w, model, subset)
+            assert lp.columns == columns
+            assert len(lp.rows) == len(rows)
+            for got, want in zip(lp.rows, rows):
+                assert got.name == want.name
+                assert got.relation == want.relation
+                assert got.coeffs == want.coeffs and got.rhs == want.rhs, want.name
+            assert dump_lp(lp) == dense_dump(m, model, columns, rows)
+
+
+def test_integer_rows_are_primitive_and_start_the_same_simplex():
+    """Each integer row is its dense row scaled to gcd 1, so the oracles and
+    ``solve`` on the dense rows give the same answers."""
+    for m, w, subset in list(_assembly_cases())[:20]:
+        lp = build_lp(m, w, "passive", subset)
+        for row, dense in zip(lp.int_rows, lp.rows):
+            assert gcd(*row.coeffs.values(), row.rhs) == (1 if row.coeffs or row.rhs else 0)
+            assert all(
+                F(c) * F(*row.unit) == dense.coeffs[k] for k, c in row.coeffs.items()
+            )
+        feasible = solve(len(lp.columns), lp.rows, [F(0)] * len(lp.columns)).status
+        assert oracle_feasible(m, w, "passive") == (feasible == "optimal")
 
 
 def test_oracle_values_reference_market(m1, w23):
