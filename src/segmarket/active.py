@@ -24,10 +24,8 @@ from .core import (
     MarketScheme,
     PriceWindow,
     Segment,
-    ZERO,
     _check_window,
     _ray,
-    demand,
     tail_value,
     window_uniform_revenue,
 )
@@ -37,7 +35,7 @@ from .passive import unregulated_consumer_optimal
 
 def _check_served(m: Market, w: PriceWindow) -> None:
     _check_window(m.grid, w)
-    if demand(m, w.lo) == 0:
+    if not sum(m._nums[w.lo :]):
         raise EmptyAboveFloor("no buyer mass at or above the window floor")
 
 
@@ -52,14 +50,11 @@ class ActiveBenchmarks:
 
 def benchmarks(m: Market, w: PriceWindow) -> ActiveBenchmarks:
     _check_served(m, w)
-    cap_value = m.grid[w.hi]
-    min_cs = sum(
-        (m.masses[i] * (m.grid[i] - cap_value) for i in range(w.hi + 1, len(m.grid))),
-        ZERO,
-    )
+    hi, (big, values) = w.hi, m.grid._scale
+    rents = sum(n * (v - values[hi]) for n, v in zip(m._nums[hi + 1 :], values[hi + 1 :]))
     return ActiveBenchmarks(
         window_revenue=window_uniform_revenue(m, w),
-        min_consumer_surplus=min_cs,
+        min_consumer_surplus=Fraction(rents, m._den * big),
         max_welfare=tail_value(m, w.lo),
     )
 

@@ -12,16 +12,14 @@ exact; nothing is ever rounded.
 A market is stored as one primitive integer ray: mass ``i`` is
 ``nums[i] / den`` with ``den > 0`` and ``gcd(*nums, den) == 1``, so every
 mass vector has exactly one ray and equality and hashing compare rays. The
-public ``Market.masses`` tuple of ``Fraction`` values is built from the ray
-on first read and cached; neither the peel arithmetic nor the file boundary
-reads it (``Market(...)`` builds the ray from the literals' integer pairs,
-and ``serialize`` prints each mass from the ray), so masses are built only
-for the LP, the active constructions and library callers. A grid
-keeps the integer reciprocals ``R_i = L / v_i``, where ``L`` is the lcm of
-the value numerators; the unit equal-revenue slice over an ascending support
-is then ``v_low / L`` times the integer vector ``R_s - R_next(s)`` (``R_top``
-at the top), and a peel costs integer products and gcds plus one
-``Fraction`` for its weight.
+library computes with the ray alone; ``Market.masses``, its ``Fraction``
+view for callers, is built anew on each read. A grid keeps two integer
+scales: the reciprocals ``R_i = L / v_i``, with ``L`` the lcm of the value
+numerators, and the values ``V_i = v_i * B``, with ``B`` the lcm of their
+denominators. The unit equal-revenue slice over an ascending support is
+``v_low / L`` times the integer vector ``R_s - R_next(s)`` (``R_top`` at
+the top), and a value sum such as :func:`tail_value` is ``sum(nums * V)``
+over ``den * B``; each costs integer arithmetic and one ``Fraction``.
 
 Inputs are converted and checked in the constructors: ``ValueGrid(...)``
 and ``Market(...)`` read every value and mass with the pair parser of
@@ -37,11 +35,12 @@ reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .errors import (
@@ -96,8 +95,16 @@ class ValueGrid:
         """``(L, R)`` with ``L`` the lcm of the value numerators and
         ``R[i] = L / v_i``, an integer; computed on first use and kept on
         this grid."""
-        big = lcm(*(v.numerator for v in self.values))
-        return big, tuple(big // v.numerator * v.denominator for v in self.values)
+        big = lcm(*[v.numerator for v in self.values])
+        return big, tuple([big // v.numerator * v.denominator for v in self.values])
+
+    @cached_property
+    def _scale(self) -> tuple[int, tuple[int, ...]]:
+        """``(B, V)`` with ``B`` the lcm of the value denominators and
+        ``V[i] = v_i * B``, an integer; computed on first use and kept on
+        this grid."""
+        big = lcm(*[v.denominator for v in self.values])
+        return big, tuple([v.numerator * (big // v.denominator) for v in self.values])
 
 
 def grid(values: Iterable[int | str | Fraction]) -> ValueGrid:
@@ -111,13 +118,13 @@ class Market:
     The constructor reads each mass as an integer pair (see ``rationals``)
     and builds the primitive integer ray ``(_nums, _den)`` of the module
     docstring with one lcm and one gcd; equality and hashing compare the
-    ray, and ``masses`` is its ``Fraction`` view, built on first read.
+    ray. ``masses`` is its ``Fraction`` view, built anew on each read;
+    nothing in the library reads it.
     """
 
     grid: ValueGrid
     _nums: tuple[int, ...]
     _den: int
-    _masses: tuple[Fraction, ...] | None = field(compare=False)
 
     def __init__(self, grid: ValueGrid, masses: Iterable[int | str | Fraction]) -> None:
         pairs = list(map(_pair, masses))
@@ -127,7 +134,6 @@ class Market:
         _set_grid(self, grid)
         _set_nums(self, tuple(nums) if common == 1 else tuple([n // common for n in nums]))
         _set_den(self, den // common)
-        _set_masses(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -138,10 +144,7 @@ class Market:
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        if self._masses is None:
-            den = self._den
-            object.__setattr__(self, "_masses", tuple(Fraction(n, den) for n in self._nums))
-        return self._masses
+        return tuple([Fraction(n, self._den) for n in self._nums])
 
     def __repr__(self) -> str:
         return f"Market(grid={self.grid!r}, masses={self.masses!r})"
@@ -202,13 +205,10 @@ def _derived(g: ValueGrid, nums: tuple[int, ...], den: int) -> Market:
     _set_grid(m, g)
     _set_nums(m, nums)
     _set_den(m, den)
-    _set_masses(m, None)
     return m
 
 
-_set_grid, _set_nums, _set_den, _set_masses = (
-    getattr(Market, name).__set__ for name in ("grid", "_nums", "_den", "_masses")
-)
+_set_grid, _set_nums, _set_den = (getattr(Market, n).__set__ for n in ("grid", "_nums", "_den"))
 
 
 def _ray(g: ValueGrid, nums: list[int], den: int) -> Market:
@@ -246,10 +246,6 @@ def _total(g: ValueGrid, parts: Sequence[Market]) -> Market:
 def _check_same_grid(a: Market, b: Market) -> None:
     if a.grid is not b.grid and a.grid.values != b.grid.values:
         raise ValueError("markets live on different grids")
-
-
-def _same_masses(a: Market, b: Market) -> bool:
-    return a._den == b._den and a._nums == b._nums
 
 
 @dataclass(frozen=True)
@@ -383,8 +379,8 @@ def window_uniform_revenue(m: Market, w: PriceWindow) -> Fraction:
 
 def tail_value(m: Market, lo: int) -> Fraction:
     """Total value held by buyers at grid index ``lo`` and above."""
-    pairs = zip(m._nums[lo:], m.grid.values[lo:])
-    return sum((n * v for n, v in pairs if n), ZERO) / m._den
+    big, values = m.grid._scale
+    return Fraction(sum(map(mul, m._nums[lo:], values[lo:])), m._den * big)
 
 
 def segment_surplus(seg: Segment) -> SurplusSummary:
@@ -393,14 +389,13 @@ def segment_surplus(seg: Segment) -> SurplusSummary:
     Buyers below the price do not trade: welfare is the value held at or
     above the price, and the seller keeps the price times the demand there.
     """
-    ps = seg.market.grid[seg.price_index] * demand(seg.market, seg.price_index)
-    sw = tail_value(seg.market, seg.price_index)
+    ps, sw = revenue(seg.market, seg.price_index), tail_value(seg.market, seg.price_index)
     return SurplusSummary(sw - ps, ps, sw)
 
 
 def scheme_surplus(scheme: MarketScheme) -> SurplusSummary:
     """Totals across segments; raises if the segments do not sum to the aggregate."""
-    if not _same_masses(scheme.segments_total(), scheme.aggregate):
+    if scheme.segments_total() != scheme.aggregate:
         raise SegmentationMismatch("segments do not sum to the aggregate market")
     cs = ps = ZERO
     for seg in scheme.segments:
@@ -545,7 +540,7 @@ def validate_scheme(scheme: MarketScheme, w: PriceWindow, model: Model) -> Valid
     _check_window(scheme.aggregate.grid, w)
     issues: list[ValidationIssue] = []
     total = scheme.segments_total()
-    if not _same_masses(total, scheme.aggregate):
+    if total != scheme.aggregate:
         issues.append(
             ValidationIssue(
                 None,

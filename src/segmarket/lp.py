@@ -23,7 +23,8 @@ The LP for a market ``x*`` and price window ``F``:
   model.
 
 The rows are assembled in integers, straight from the market's ray
-``x* = _nums / _den`` and the grid values scaled by the lcm ``L`` of their
+``x* = _nums / _den`` and the value scale the grid keeps
+(``ValueGrid._scale``): the values times the lcm ``L`` of their
 denominators, ``V = v * L``. Each is written once, as the primitive integer
 row the simplex starts from (gcd 1, same signs), with the positive rational
 ``unit`` that turns it back into the row as written:
@@ -47,7 +48,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Literal, NamedTuple, Sequence
 
-from .core import Market, Model, PriceWindow, ValueGrid, ZERO, _check_window
+from .core import Market, Model, PriceWindow, ZERO, _check_window
 from .errors import InfeasibleWindow, InvariantViolation
 from .rationals import _pair
 
@@ -302,13 +303,6 @@ class SegmentationLP:
         return tuple(out)
 
 
-def _scaled_values(g: ValueGrid) -> tuple[int, list[int]]:
-    """``(L, V)``: the lcm ``L`` of the grid's denominators and the values
-    times it, ``V[i] = v_i * L``, all integers."""
-    big = lcm(*[v.denominator for v in g.values])
-    return big, [v.numerator * (big // v.denominator) for v in g.values]
-
-
 def build_lp(
     m: Market,
     w: PriceWindow,
@@ -336,7 +330,7 @@ def build_lp(
         c = gcd(den, num) if prices else num or 1
         coeffs = dict.fromkeys(range(i, len(columns), n), den // c)
         rows.append(_Row(coeffs, "==", num // c, (c, den)))
-    big, values = _scaled_values(m.grid)
+    big, values = m.grid._scale
     rivals = range(n) if model == "passive" else w.indices()
     pairs = []
     for base, q in zip(range(0, len(columns), n), prices):
@@ -381,7 +375,7 @@ def dump_lp(lp: SegmentationLP, objective: Sequence[Fraction] | None = None) -> 
 def _surplus_objective(lp: SegmentationLP, kind: Literal["cs", "ps"]) -> tuple[dict[int, int], int]:
     """The consumer or producer surplus of a segmentation as ``(c, L)``:
     ``c . x / L``, with ``c`` the nonzero integer coefficients by column."""
-    big, values = _scaled_values(lp.market.grid)
+    big, values = lp.market.grid._scale
     out = {}
     for k, (q, i) in enumerate(lp.columns):
         if i >= q and (c := values[i] - values[q] if kind == "cs" else values[q]):

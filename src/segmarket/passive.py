@@ -29,6 +29,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Callable, Sequence
 
 from .core import (
@@ -41,10 +42,8 @@ from .core import (
     _ray,
     _spread,
     _unit_weights,
-    equal_revenue_market,
     largest_dominated_er,
     opt_prices,
-    revenue,
     standardize,
     tail_value,
     uniform_revenue,
@@ -195,23 +194,31 @@ def is_feasible(m: Market, w: PriceWindow) -> bool:
 
 
 def _preservation_caps(
-    residual: Market, support: list[int], optimal: tuple[int, ...], full: list[int]
+    residual: Market, low: int, top: int, rivals: Sequence[int], best: int
 ) -> list[Fraction]:
-    """Caps on the peel weight keeping every currently optimal price optimal.
+    """Caps on the weight of a seller peel over a support from *low* up,
+    priced at *top*, that keep every optimal price optimal: one per rival,
+    a supported window entry below *top*; *best* is any optimal price.
 
-    For an optimal price i (necessarily inside the peel support, where the
-    unit slice earns its flat revenue C) and a supported rival j outside the
-    peel support, revenues after removing ``gamma * unit`` stay ordered iff
-    ``gamma * (C - R_unit(j)) <= R(i) - R(j)``; the denominator is strictly
-    positive because j sits below the top of the unit slice's support.
+    Proof. Each optimal price is supported and, in this phase, outside the
+    window, so it lies in the peel support, where removing ``gamma * unit``
+    lowers the revenue by ``gamma * v_low``. The rivals are the other
+    supported prices; at rival ``j`` the slice's demand is its mass from
+    *top* up, ``gamma * v_low / v_top``, so the revenue drops by
+    ``gamma * v_low * v_j / v_top``. An unsupported price never beats the
+    supported one above it. So every optimal price stays optimal iff
+    ``gamma * v_low * (1 - v_j / v_top) <= R* - R(j)`` for every rival,
+    with ``R*`` the best revenue. In the grid reciprocals ``v_i = L / r_i``
+    and the ray's tail sums, ``R(i) = L * T_i / (r_i * den)``, so the cap is
+    ``r_low * (T_best * r_j - T_j * r_best) / (den * r_best * (r_j - r_top))``,
+    the same for every optimal price; ``r_j > r_top`` as ``v_j < v_top``.
     """
-    unit = equal_revenue_market(residual.grid, support)
-    flat = revenue(unit, support[0])
-    outside = [j for j in full if j not in support]
+    r, nums = residual.grid._reciprocals[1], residual._nums
+    r_best, r_top, t_best = r[best], r[top], sum(nums[best:])
+    den = residual._den * r_best
     return [
-        (revenue(residual, i) - revenue(residual, j)) / (flat - revenue(unit, j))
-        for i in optimal
-        for j in outside
+        Fraction(r[low] * (t_best * r[j] - sum(nums[j:]) * r_best), den * (r[j] - r_top))
+        for j in rivals
     ]
 
 
@@ -242,7 +249,8 @@ def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
         if any(i in w for i in optimal):
             return full[:], (), full[bisect_left(full, w.lo)]
         seller, _, top = peel
-        return seller, _preservation_caps(residual, seller, optimal, full), top
+        rivals = full[bisect_left(full, w.lo) : bisect_left(full, top)]
+        return seller, _preservation_caps(residual, seller[0], top, rivals, optimal[0]), top
 
     steps: list[ExtractionStep] = []
     return _finished(m, w, _peel(m, "consumer-optimal", pick, steps), steps)
@@ -451,8 +459,8 @@ def _reserve_run(
             piece = Segment(_spread(g, idx, weights, best0, c * den), top)
             steps.append(ExtractionStep(tuple(idx), gamma, piece, _ray(g, a, den)))
         full = [i for i in full if a[i] or b[i]]
-    value = sum((v * x for v, x in zip(g.values, a) if x), ZERO) / den
-    rate = sum((v * x for v, x in zip(g.values, b) if x), ZERO) / den
+    big, values = g._scale
+    value, rate = (Fraction(sum(map(mul, values, x)), den * big) for x in (a, b))
     return value, rate, Fraction(sold, den), Fraction(*step) if step else None
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -50,10 +49,9 @@ def sufficient_condition(m: Market, w: PriceWindow) -> bool:
 
 def _screen(m: Market) -> Callable[[int, int], bool]:
     """The inequality of :func:`sufficient_condition` for window ``lo..hi``,
-    in integers: values times the lcm ``q`` of their denominators, masses
-    times the ray's denominator, and the benchmark times both."""
-    q = lcm(*(v.denominator for v in m.grid.values))
-    values = [v.numerator * (q // v.denominator) for v in m.grid.values]
+    in integers: values on the grid's scale ``q`` (see ``ValueGrid._scale``),
+    masses times the ray's denominator, and the benchmark times both."""
+    q, values = m.grid._scale
     value_prefix = [0, *accumulate(map(mul, m._nums, values))]
     mass_suffix = [*accumulate(reversed(m._nums))][::-1] + [0]
     target = uniform_revenue(m) * (m._den * q)

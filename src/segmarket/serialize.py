@@ -155,4 +155,13 @@ def dumps(obj: Any) -> str:
 
 
 def loads(text: str) -> Any:
-    return json.loads(text)
+    """The JSON value of *text*; input nested past the decoder's recursion limit,
+    or with an integer past the int string-digit limit, is a ValueError saying so."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError("a JSON integer has too many digits") from None

@@ -23,11 +23,11 @@ def dense_equal_revenue(g, support):
     return out
 
 
-def dense_peel(g, masses, support):
+def dense_peel(g, masses, support, caps=()):
     """``(gamma, slice, residual)`` for the largest equal-revenue slice over
-    *support* that fits under *masses*."""
+    *support* that fits under *masses*, its weight at most each of *caps*."""
     unit = dense_equal_revenue(g, support)
-    gamma = min(masses[i] / unit[i] for i in range(len(g)) if unit[i] > 0)
+    gamma = min([*(masses[i] / unit[i] for i in range(len(g)) if unit[i] > 0), *caps])
     piece = [u * gamma for u in unit]
     return gamma, piece, [a - b for a, b in zip(masses, piece)]
 
@@ -45,6 +45,46 @@ def producer_steps(g, masses, lo, hi):
         support = tuple(i for i in held if i == top or not lo <= i <= hi)
         gamma, piece, residual = dense_peel(g, residual, support)
         steps.append((support, gamma, top, piece, residual))
+    return steps, residual
+
+
+def _revenue(g, masses, i):
+    return g[i] * sum(masses[i:])
+
+
+def consumer_steps(g, masses, lo, hi):
+    """Consumer-optimal peels over ``lo..hi``. While no revenue-maximizing
+    price of the residual lies in the window, each is a seller-favoring peel
+    as in :func:`producer_steps`, its weight also capped so that every
+    optimal price ``i`` still beats every supported window value ``j``
+    below the top: ``(R(i) - R(j)) / (C - U(j))``, one cap per pair, with
+    ``U`` the revenue of the unit slice and ``C`` its flat revenue on the
+    support. Once one does, each peel covers the whole support, priced at
+    its cheapest window value. Returns the steps as
+    ``(support, gamma, price, slice, residual)`` and the remainder."""
+    residual = list(masses)
+    steps = []
+    while any(residual[i] > 0 for i in range(lo, hi + 1)):
+        held = [i for i, x in enumerate(residual) if x > 0]
+        revenues = [_revenue(g, residual, i) for i in range(len(g))]
+        optimal = [i for i, r in enumerate(revenues) if r == max(revenues)]
+        if any(lo <= i <= hi for i in optimal):
+            support = tuple(held)
+            price = min(i for i in held if lo <= i <= hi)
+            caps = []
+        else:
+            price = max(i for i in held if lo <= i <= hi)
+            support = tuple(i for i in held if i == price or not lo <= i <= hi)
+            unit = dense_equal_revenue(g, support)
+            flat = _revenue(g, unit, support[0])
+            caps = [
+                (revenues[i] - revenues[j]) / (flat - _revenue(g, unit, j))
+                for i in optimal
+                for j in held
+                if j not in support
+            ]
+        gamma, piece, residual = dense_peel(g, residual, support, caps)
+        steps.append((support, gamma, price, piece, residual))
     return steps, residual
 
 

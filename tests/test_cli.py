@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from segmarket import PriceWindow, market, scheme_surplus, validate_scheme
-from segmarket import cli, serialize
+from segmarket import Market, PriceWindow, market, scheme_surplus, validate_scheme
+from segmarket import cli, region, serialize
 from segmarket.cli import build_parser, main
 from segmarket.passive import unregulated_consumer_optimal
 from segmarket.regulator import feasibility_sweep
@@ -383,6 +383,8 @@ MALFORMED_MARKETS = {
     "digit-limit": '{"values": ["1", "2"], "masses": ["1e-4300", "1"]}',
     "string-vectors": '{"values": "12", "masses": "11"}',
     "object-vector": '{"values": ["1", "2"], "masses": {"1": "1", "2": "1"}}',
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+    "long-integer": '{"values": ["1", "2"], "masses": [' + "7" * 5000 + ', "1"]}',
 }
 
 
@@ -419,6 +421,7 @@ MALFORMED_SEGMENTS = {
     "missing-index": '[{"masses": ["1", "1"]}]',
     "string-masses": '[{"masses": "11", "price_index": 1}]',
     "string-segments": '"segments"',
+    "long-index": '[{"masses": ["1", "1"], "price_index": ' + "1" * 5000 + "}]",
 }
 
 
@@ -448,3 +451,93 @@ def test_malformed_input_is_a_one_line_usage_error(tmp_path, capsys, command, ca
     }[command]
     assert main(argv) == 1
     _single_error(capsys)
+
+
+# JSON that the decoder itself cannot read, and the one line that says why
+HOSTILE_JSON = {
+    "deep-nesting": ("--market", MALFORMED_MARKETS["deep-nesting"], "JSON input is nested too deeply"),
+    "deep-scheme": ("--scheme", MALFORMED_MARKETS["deep-nesting"], "JSON input is nested too deeply"),
+    "long-mass": ("--market", MALFORMED_MARKETS["long-integer"], "a JSON integer has too many digits"),
+    "long-index": (
+        "--scheme",
+        '{"aggregate": {"values": ["1", "2"], "masses": ["1", "1"]}, "segments": '
+        + MALFORMED_SEGMENTS["long-index"] + "}",
+        "a JSON integer has too many digits",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_JSON))
+def test_undecodable_json_is_one_error_naming_the_fault(tmp_path, capsys, case):
+    flag, text, message = HOSTILE_JSON[case]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    command = "region" if flag == "--market" else "validate"
+    argv = [command, flag, str(path), "--flo", "1", "--fhi", "2", "--model", "passive"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _every_command(m1_file, m1, w23):
+    """Every command on the reference market at window 2..3, with ``{out}``
+    standing for a directory to write files to: segment (all objectives,
+    --out, and --trace when passive), validate on what it wrote, region and
+    point (with and without --merge, aimed at the region's centroid) in
+    both models, feasible, design-f, sweep, and oracle with --dump-lp and
+    with eta0."""
+    window = ["--flo", "2", "--fhi", "3"]
+    runs = []
+    for model in ("passive", "active"):
+        for objective in ("ps-max", "cs-max", "sw-min"):
+            scheme = f"{{out}}/{model}-{objective}.json"
+            argv = ["segment", "--market", m1_file, *window, "--model", model,
+                    "--objective", objective, "--out", scheme]
+            if model == "passive":
+                argv += ["--trace", f"{{out}}/{objective}-trace.json"]
+            runs.append(argv)
+            runs.append(["validate", "--scheme", scheme, *window, "--model", model])
+        corners = region.passive_region if model == "passive" else region.active_region
+        triangle = corners(m1, w23)
+        points = (triangle.v_min, triangle.v_seller, triangle.v_buyer)
+        cs, ps = (str(sum(p[k] for p in points) / 3) for k in (0, 1))
+        runs.append(["region", "--market", m1_file, *window, "--model", model])
+        for merge in ([], ["--merge"]):
+            runs.append(["point", "--market", m1_file, *window, "--model", model,
+                         "--cs", cs, "--ps", ps, *merge])
+        runs.append(["oracle", "--market", m1_file, *window, "--model", model,
+                     "--objective", "feasible", "--dump-lp", f"{{out}}/{model}.lp"])
+        for objective in ("min-cs", "max-ps", "min-ps"):
+            runs.append(["oracle", "--market", m1_file, *window, "--model", model,
+                         "--objective", objective])
+    runs.append(["oracle", "--market", m1_file, *window, "--model", "passive",
+                 "--objective", "eta0", "--i0", "2"])
+    runs.append(["feasible", "--market", m1_file, *window])
+    runs.append(["design-f", "--market", m1_file])
+    runs.append(["sweep", "--top", "6"])
+    return runs
+
+
+def _run_all(runs, out, capsys):
+    out.mkdir()
+    results = []
+    for argv in runs:
+        code = main([arg.format(out=out) for arg in argv])
+        captured = capsys.readouterr()
+        results.append((argv[0], code, captured.out, captured.err))
+    files = {path.name: path.read_text() for path in sorted(out.iterdir())}
+    return results, files
+
+
+def test_no_command_reads_fraction_masses(m1_file, m1, w23, tmp_path, capsys, monkeypatch):
+    """The library computes with a market's integer ray only: with
+    ``Market.masses`` made to raise, every command gives what it gave."""
+    runs = _every_command(m1_file, m1, w23)
+    before = _run_all(runs, tmp_path / "before", capsys)
+    assert all(code == 0 for _, code, _, _ in before[0])
+
+    def refuse(self):
+        raise AssertionError("library code read Market.masses")
+
+    monkeypatch.setattr(Market, "masses", property(refuse))
+    assert _run_all(runs, tmp_path / "after", capsys) == before
