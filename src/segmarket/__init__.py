@@ -22,7 +22,6 @@ from .core import (
     ValidationIssue,
     ValidationReport,
     demand,
-    equal_revenue_market,
     grid,
     largest_dominated_er,
     market,
@@ -36,7 +35,6 @@ from .core import (
     uniform_revenue,
     validate_scheme,
     window_uniform_revenue,
-    zero_market,
 )
 from .errors import (
     BadRange,

@@ -92,11 +92,13 @@ def collapse_to_window(m: Market, w: PriceWindow) -> Market:
     return _ray(m.grid, nums, m._den)
 
 
-def _lifted_split(m: Market, w: PriceWindow, favor: str) -> MarketScheme:
+def _lifted_split(m: Market, w: PriceWindow) -> list[tuple[Market, tuple[int, ...]]]:
+    """The unregulated split of the collapsed market, each piece lifted back
+    onto *m* and paired with its collapsed support."""
     run = unregulated_consumer_optimal(collapse_to_window(m, w))
     lo, hi, whole, den = w.lo, w.hi, m._nums, m._den
     cap = sum(whole[hi:]) or 1  # demand at the cap, over den; 0 parks nothing
-    segments: list[Segment] = []
+    pieces = []
     for k, step in enumerate(run.steps):
         piece = step.segment.market
         # every mass of the lifted piece over piece._den * cap * den
@@ -107,10 +109,13 @@ def _lifted_split(m: Market, w: PriceWindow, favor: str) -> MarketScheme:
         if parked := piece._nums[hi]:
             # spread the parked mass over the true tail, pro rata
             nums[hi:] = [parked * x * den for x in whole[hi:]]
-        support = piece.support()
-        price = support[0] if favor == "consumer" else support[-1]
-        segments.append(Segment(_ray(m.grid, nums, scale * den), price))
-    return MarketScheme(m, tuple(segments))
+        pieces.append((_ray(m.grid, nums, scale * den), piece.support()))
+    return pieces
+
+
+def _priced(m: Market, pieces: list[tuple[Market, tuple[int, ...]]], end: int) -> MarketScheme:
+    """The lifted *pieces* priced at entry *end* of each collapsed support."""
+    return MarketScheme(m, tuple(Segment(piece, support[end]) for piece, support in pieces))
 
 
 def consumer_optimal(m: Market, w: PriceWindow) -> MarketScheme:
@@ -121,7 +126,7 @@ def consumer_optimal(m: Market, w: PriceWindow) -> MarketScheme:
     stays at the single-window-price benchmark, so consumer surplus is
     maximal.
     """
-    return _lifted_split(m, w, "consumer")
+    return _priced(m, _lifted_split(m, w), 0)
 
 
 def welfare_minimal(m: Market, w: PriceWindow) -> MarketScheme:
@@ -132,4 +137,4 @@ def welfare_minimal(m: Market, w: PriceWindow) -> MarketScheme:
     unchanged, but every buyer below a piece's top value is priced out and
     consumer surplus drops to the rents of buyers strictly above the cap.
     """
-    return _lifted_split(m, w, "seller")
+    return _priced(m, _lifted_split(m, w), -1)

@@ -149,9 +149,6 @@ class Market:
     def __repr__(self) -> str:
         return f"Market(grid={self.grid!r}, masses={self.masses!r})"
 
-    def mass(self) -> Fraction:
-        return Fraction(sum(self._nums), self._den)
-
     # numerators are nonnegative, so a nonzero one is a positive one and the
     # two scans below test truth instead of comparing against zero
     def is_zero(self) -> bool:
@@ -172,30 +169,16 @@ class Market:
         """Entrywise difference; only the entries where *other* carries mass
         are subtracted, and only those are checked for going negative."""
         _check_same_grid(self, other)
-        out, b, den = _common(self, other)
+        c = gcd(self._den, other._den)  # both rays over their least common denominator
+        sa, sb = other._den // c, self._den // c
+        out = list(self._nums) if sa == 1 else [n * sa for n in self._nums]
+        b = other._nums if sb == 1 else [n * sb for n in other._nums]
         for i in compress(range(len(b)), b):
             d = out[i] - b[i]
             if d < 0:
                 raise ValueError("subtraction would leave negative mass")
             out[i] = d
-        return _ray(self.grid, out, den)
-
-    def plus(self, other: "Market") -> "Market":
-        _check_same_grid(self, other)
-        out, b, den = _common(self, other)
-        for i in compress(range(len(b)), b):
-            out[i] += b[i]
-        return _ray(self.grid, out, den)
-
-
-def _common(a: Market, b: Market) -> tuple[list[int], Sequence[int], int]:
-    """The numerators of *a* (as a fresh list) and of *b* over the least
-    common denominator of the two rays, and that denominator."""
-    g = gcd(a._den, b._den)
-    sa, sb = b._den // g, a._den // g
-    out = list(a._nums) if sa == 1 else [n * sa for n in a._nums]
-    other = b._nums if sb == 1 else [n * sb for n in b._nums]
-    return out, other, a._den * sa
+        return _ray(self.grid, out, self._den * sa)
 
 
 def _derived(g: ValueGrid, nums: tuple[int, ...], den: int) -> Market:
@@ -225,10 +208,6 @@ def market(
 ) -> Market:
     """Build a market from raw value/mass literals."""
     return Market(grid(values), masses)
-
-
-def zero_market(g: ValueGrid) -> Market:
-    return _derived(g, (0,) * len(g), 1)
 
 
 def _total(g: ValueGrid, parts: Sequence[Market]) -> Market:
@@ -434,21 +413,6 @@ def _spread(g: ValueGrid, idx: list[int], weights: list[int], num: int, den: int
     return _derived(g, tuple(nums), den // d)
 
 
-def equal_revenue_market(g: ValueGrid, support: Iterable[int]) -> Market:
-    """Unit-mass market over *support* whose revenue is flat across the support.
-
-    With ``m = min`` and ``M = max`` of the supported values, mass at the top
-    value is ``m/M`` and mass at any other supported value ``v`` is
-    ``m * (1/v - 1/v')`` where ``v'`` is the next supported value above. Every
-    supported price then earns revenue exactly ``m``, and prices off the
-    support earn strictly less. In reciprocals that is ``m / L`` times the
-    weights of :func:`_unit_weights`.
-    """
-    idx, weights = _unit_weights(g, support)
-    low = g[idx[0]]
-    return _spread(g, idx, weights, low.numerator, low.denominator * g._reciprocals[0])
-
-
 def largest_dominated_er(
     cap: Market,
     support: Iterable[int],
@@ -465,6 +429,9 @@ def largest_dominated_er(
     ``nums[i] * L / (den * weight * v_low)`` is the one ``Fraction`` built.
     ``x`` is spread on the support alone, uncapped straight from the binding
     ratio as ``weights * nums[i] / (den * weight)``, capped from gamma.
+
+    Kept public: each peel of ``passive._peel`` is one call, and the
+    benchmark's ``core.peels`` counts these calls.
     """
     g = cap.grid
     idx, weights = _unit_weights(g, support)

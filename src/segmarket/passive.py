@@ -10,7 +10,8 @@ the leftover market keeps the structure the next step needs.
 Two loops run the peels. The generic driver :func:`_peel` runs four
 constructions (the unregulated, producer- and consumer-optimal splits and
 the feasibility check), each handing it a policy that picks the peel
-support, extra caps on the weight and the price. The reserve run
+support, extra caps on the weight and the price; the consumer-optimal run
+proves its window by leaving no remainder. The reserve run
 :func:`_reserve_run` is both the welfare-minimal construction, which keeps a
 fixed reserve of floor-value buyers out of the dearer peels, and one run of
 the exact search by which :func:`minimal_reduction` finds the least such
@@ -225,16 +226,38 @@ def _preservation_caps(
 def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
     """Consumer-optimal passive segmentation under a regulated window.
 
-    While no currently optimal price sits inside the window, peel over the
-    seller-favoring support, additionally capped so the optimal-price set of
-    the residual never shrinks; once an optimal price is inside the window,
-    peel over the full support (which lowers all supported revenues by the
-    same amount) and price at the cheapest in-window supported value. Total
+    While no currently optimal price sits inside the window (phase 1), peel
+    over the seller-favoring support, additionally capped so the
+    optimal-price set of the residual never shrinks; once an optimal price
+    is inside the window (phase 2), peel over the full support (which lowers
+    all supported revenues by the same amount) and price at the cheapest
+    in-window supported value. Total
     output is maximal and producer surplus stays at the single-price
     benchmark, so consumer surplus is maximal.
+
+    The run decides the window itself: it leaves no remainder exactly when
+    the window is feasible, so :func:`is_feasible` runs only to confirm a
+    remainder. Proof, on any window:
+
+    * It never stalls. A phase-1 cap is positive, as no rival is optimal
+      yet; every supported entry of a peel is positive.
+    * It never drops an optimal price while mass remains. In phase 1 by the
+      proof of :func:`_preservation_caps`, which does not use feasibility.
+      In phase 2 all supported revenues drop alike, and an optimal entry
+      that emptied would earn less than the next supported price above it.
+    * Each peel empties an entry or binds a cap, and a binding cap makes
+      its rival optimal and starts phase 2, so it makes at most ``n + 1``
+      peels.
+    * With no remainder its slices, each equal-revenue and priced on its
+      support inside the window, are a passive segmentation in the window.
+      With one, it never reached phase 2 (there an in-window optimal price
+      stays supported while mass remains), so no cap bound: it made the
+      producer-optimal peels step for step and kept their remainder, which
+      is nonzero only on an infeasible window (:func:`is_feasible`).
     """
-    if not is_feasible(m, w):
-        raise InfeasibleWindow("window cannot price every buyer passively")
+    _check_window(m.grid, w)
+    if m.is_zero():
+        raise ZeroMarket("feasibility is undefined for a market with no buyers")
     base = set(opt_prices(m))
 
     def pick(residual: Market, full: list[int]):
@@ -253,7 +276,10 @@ def consumer_optimal(m: Market, w: PriceWindow) -> SegmentationRun:
         return seller, _preservation_caps(residual, seller[0], top, rivals, optimal[0]), top
 
     steps: list[ExtractionStep] = []
-    return _finished(m, w, _peel(m, "consumer-optimal", pick, steps), steps)
+    residual = _peel(m, "consumer-optimal", pick, steps)
+    if not residual.is_zero() and not is_feasible(m, w):
+        raise InfeasibleWindow("window cannot price every buyer passively")
+    return _finished(m, w, residual, steps)
 
 
 def _finished(

@@ -105,10 +105,11 @@ def _corner_schemes(
             passive.producer_optimal(m, w).scheme,
             passive.consumer_optimal(m, w).scheme,
         )
+    pieces = active._lifted_split(m, w)  # one lift for both of its corners
     return (
-        active.welfare_minimal(m, w),
+        active._priced(m, pieces, -1),
         active.producer_optimal(m, w),
-        active.consumer_optimal(m, w),
+        active._priced(m, pieces, 0),
     )
 
 

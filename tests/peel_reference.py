@@ -48,8 +48,13 @@ def producer_steps(g, masses, lo, hi):
     return steps, residual
 
 
-def _revenue(g, masses, i):
-    return g[i] * sum(masses[i:])
+def _revenues(g, masses):
+    """The revenue ``v_i * sum(masses[i:])`` of every price ``i``."""
+    out, tail = [], 0
+    for v, x in zip(reversed(g.values), reversed(masses)):
+        tail += x
+        out.append(v * tail)
+    return out[::-1]
 
 
 def consumer_steps(g, masses, lo, hi):
@@ -64,10 +69,11 @@ def consumer_steps(g, masses, lo, hi):
     ``(support, gamma, price, slice, residual)`` and the remainder."""
     residual = list(masses)
     steps = []
-    while any(residual[i] > 0 for i in range(lo, hi + 1)):
+    while any(residual[lo : hi + 1]):
         held = [i for i, x in enumerate(residual) if x > 0]
-        revenues = [_revenue(g, residual, i) for i in range(len(g))]
-        optimal = [i for i, r in enumerate(revenues) if r == max(revenues)]
+        revenues = _revenues(g, residual)
+        best = max(revenues)
+        optimal = [i for i, r in enumerate(revenues) if r == best]
         if any(lo <= i <= hi for i in optimal):
             support = tuple(held)
             price = min(i for i in held if lo <= i <= hi)
@@ -75,10 +81,9 @@ def consumer_steps(g, masses, lo, hi):
         else:
             price = max(i for i in held if lo <= i <= hi)
             support = tuple(i for i in held if i == price or not lo <= i <= hi)
-            unit = dense_equal_revenue(g, support)
-            flat = _revenue(g, unit, support[0])
+            unit = _revenues(g, dense_equal_revenue(g, support))
             caps = [
-                (revenues[i] - revenues[j]) / (flat - _revenue(g, unit, j))
+                (revenues[i] - revenues[j]) / (unit[support[0]] - unit[j])
                 for i in optimal
                 for j in held
                 if j not in support

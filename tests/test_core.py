@@ -11,7 +11,6 @@ from segmarket import (
     Segment,
     ValueGrid,
     demand,
-    equal_revenue_market,
     grid,
     largest_dominated_er,
     market,
@@ -25,8 +24,8 @@ from segmarket import (
     uniform_revenue,
     validate_scheme,
     window_uniform_revenue,
-    zero_market,
 )
+from segmarket.core import _total
 from segmarket.errors import (
     EmptySupport,
     NegativeBound,
@@ -41,6 +40,13 @@ from strategies import markets_with_window, small_markets
 
 def F(text):
     return Fraction(text)
+
+
+def unit_slice(g, support):
+    """The unit equal-revenue slice over *support*: the largest one under
+    unit masses (each entry of the slice is at most 1), its weight capped
+    at 1."""
+    return largest_dominated_er(Market(g, [1] * len(g)), support, [1])[1]
 
 
 def test_grid_rejects_bad_values():
@@ -71,12 +77,12 @@ def test_market_shape_checks():
 
 
 def test_market_arithmetic(m1):
-    assert m1.mass() == 1
+    assert sum(m1.masses) == 1
     assert m1.support() == (0, 1, 2, 3)
     half = m1.scaled(F("1/2"))
     assert half.masses[0] == F("0.18")
     assert m1.minus(half).masses == half.masses
-    assert half.plus(half).masses == m1.masses
+    assert _total(m1.grid, [half, half]) == m1
     with pytest.raises(ValueError):
         half.minus(m1)
     with pytest.raises(ValueError):
@@ -101,9 +107,9 @@ def test_derived_markets_equal_validated_ones(m1):
     derived = [
         half,
         m1.minus(half),
-        half.plus(half),
-        zero_market(m1.grid),
-        equal_revenue_market(m1.grid, (1, 3)),
+        _total(m1.grid, [half, half]),
+        m1.minus(m1),
+        unit_slice(m1.grid, (1, 3)),
         piece,
         m1.minus(piece),
     ]
@@ -114,7 +120,7 @@ def test_derived_markets_equal_validated_ones(m1):
 
 
 def test_zero_market(m1):
-    z = zero_market(m1.grid)
+    z = Market(m1.grid, [0] * 4)
     assert z.is_zero()
     assert z.support() == ()
 
@@ -170,11 +176,11 @@ def test_demand_and_revenue(m1):
 def test_opt_prices(m1):
     assert opt_prices(m1) == (3,)
     with pytest.raises(ZeroMarket):
-        opt_prices(zero_market(m1.grid))
+        opt_prices(Market(m1.grid, [0] * 4))
 
 
 def test_opt_prices_keeps_ties(m1):
-    er = equal_revenue_market(m1.grid, (1, 3))
+    er = unit_slice(m1.grid, (1, 3))
     assert opt_prices(er) == (1, 3)
 
 
@@ -187,7 +193,7 @@ def test_opt_prices_in_window(m1, w23):
 def test_uniform_revenues(m1, w23):
     assert uniform_revenue(m1) == F("1.56")
     assert window_uniform_revenue(m1, w23) == F("1.32")
-    assert uniform_revenue(zero_market(m1.grid)) == 0
+    assert uniform_revenue(Market(m1.grid, [0] * 4)) == 0
 
 
 def test_tail_value(m1):
@@ -197,13 +203,13 @@ def test_tail_value(m1):
 
 
 def test_equal_revenue_market_full_support(m1):
-    er = equal_revenue_market(m1.grid, (0, 1, 2, 3))
+    er = unit_slice(m1.grid, (0, 1, 2, 3))
     assert er.masses == (F("1/2"), F("1/6"), F("1/6"), F("1/6"))
     assert all(revenue(er, i) == 1 for i in er.support())
 
 
 def test_equal_revenue_market_partial_support(m1):
-    er = equal_revenue_market(m1.grid, (2, 3))
+    er = unit_slice(m1.grid, (2, 3))
     assert er.masses == (0, 0, F("1/2"), F("1/2"))
     assert revenue(er, 2) == revenue(er, 3) == 3
     # off-support prices earn strictly less
@@ -212,9 +218,9 @@ def test_equal_revenue_market_partial_support(m1):
 
 def test_equal_revenue_market_errors(m1):
     with pytest.raises(EmptySupport):
-        equal_revenue_market(m1.grid, ())
+        largest_dominated_er(m1, ())
     with pytest.raises(IndexError):
-        equal_revenue_market(m1.grid, (4,))
+        largest_dominated_er(m1, (4,))
 
 
 def test_largest_dominated_er_mass_bound(m1):
@@ -260,13 +266,13 @@ def test_standardize_merges_by_price(m1, w23):
     b = market([1, 2, 3, 6], [0, 0, "0.09", "0.09"])
     c = market([1, 2, 3, 6], [0, "0.20", 0, "0.08"])
     scheme = MarketScheme(
-        a.plus(b).plus(c), (Segment(a, 2), Segment(b, 2), Segment(c, 1))
+        _total(m1.grid, [a, b, c]), (Segment(a, 2), Segment(b, 2), Segment(c, 1))
     )
     std = standardize(scheme, w23)
     assert len(std.segments) == 2
     assert std.segments[0].price_index == 1
     assert std.segments[0].market.masses == c.masses
-    assert std.segments[1].market.masses == a.plus(b).masses
+    assert std.segments[1].market == _total(m1.grid, [a, b])
 
 
 def test_standardize_keeps_zero_segments(m1, w23):
@@ -300,20 +306,19 @@ def test_validate_scheme_passive_vs_active(m1, w23):
 
 
 def test_validate_scheme_zero_segments_exempt(m1, w23):
-    scheme = MarketScheme(
-        zero_market(m1.grid), (Segment(zero_market(m1.grid), 1),)
-    )
+    zero = Market(m1.grid, [0] * 4)
+    scheme = MarketScheme(zero, (Segment(zero, 1),))
     assert validate_scheme(scheme, w23, "passive").ok
 
 
 @given(small_markets())
 def test_equal_revenue_market_is_flat(m):
     support = m.support()
-    er = equal_revenue_market(m.grid, support)
+    er = unit_slice(m.grid, support)
     flat = revenue(er, support[0])
     assert all(revenue(er, i) == flat for i in support)
     assert all(revenue(er, j) < flat for j in range(len(m.grid)) if j not in support)
-    assert er.mass() == 1
+    assert sum(er.masses) == 1
 
 
 @given(small_markets())
@@ -351,7 +356,7 @@ def markets_with_support(draw):
 @given(markets_with_support())
 def test_equal_revenue_market_matches_the_reciprocal_formula(ms):
     m, support = ms
-    er = equal_revenue_market(m.grid, support)
+    er = unit_slice(m.grid, support)
     assert list(er.masses) == dense_equal_revenue(m.grid, support)
     assert er.support() == tuple(sorted(set(support)))
 

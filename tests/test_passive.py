@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from segmarket import (
+    Market,
     PriceWindow,
     market,
     opt_prices,
@@ -16,9 +17,9 @@ from segmarket import (
     tail_value,
     uniform_revenue,
     validate_scheme,
-    zero_market,
 )
-from segmarket import passive
+from segmarket import active, passive
+from segmarket.core import _total
 from segmarket.errors import (
     InfeasibleWindow,
     InvariantViolation,
@@ -77,7 +78,7 @@ def test_unregulated_split_reference_market(m1):
 
 def test_unregulated_split_rejects_zero_market(m1):
     with pytest.raises(ZeroMarket):
-        unregulated_consumer_optimal(zero_market(m1.grid))
+        unregulated_consumer_optimal(Market(m1.grid, [0] * 4))
 
 
 def test_producer_optimal_reference_market(m1, w23):
@@ -113,7 +114,7 @@ def test_producer_optimal_reference_market(m1, w23):
 def test_producer_optimal_leaves_remainder_when_infeasible(m1):
     run = producer_optimal(m1, PriceWindow(2, 2))
     assert not run.remainder.is_zero()
-    assert run.scheme.segments_total().plus(run.remainder).masses == m1.masses
+    assert _total(m1.grid, [run.scheme.segments_total(), run.remainder]) == m1
 
 
 def test_is_feasible_reference_windows(m1):
@@ -129,7 +130,7 @@ def test_is_feasible_without_window_mass():
     m = market([1, 2], [1, 0])
     assert not is_feasible(m, PriceWindow(1, 1))
     with pytest.raises(ZeroMarket):
-        is_feasible(zero_market(m.grid), PriceWindow(0, 0))
+        is_feasible(Market(m.grid, [0] * 2), PriceWindow(0, 0))
 
 
 def test_consumer_optimal_reference_market(m1, w23):
@@ -208,10 +209,11 @@ def test_min_consumer_surplus_reference_market(m1, w23):
 def test_reduction_and_welfare_minimal_scale_with_the_market():
     """Scaling every mass by ``c > 0`` keeps the reduced floor, scales the
     least floor mass and the least consumer surplus by ``c``, and scales
-    every welfare-minimal gamma, slice and residual by ``c`` with the same
-    supports and prices: checked without the LP on feasible windows of
-    seeded markets of 30-40 values, half of them anchored on an optimal
-    price."""
+    every welfare-minimal, consumer- and producer-optimal gamma, slice and
+    residual by ``c`` with the same supports and prices, and every segment
+    of the active consumer-optimal and welfare-minimal schemes at the same
+    price: checked without the LP on feasible windows of seeded markets of
+    30-40 values, half of them anchored on an optimal price."""
     rng = random.Random(2424)
     scales = (F(1, 3), F(7, 2), F(10**12 + 1, 10**6), F(2, 10**9 + 7))
     checked = 0
@@ -233,14 +235,20 @@ def test_reduction_and_welfare_minimal_scale_with_the_market():
         red, red_c = minimal_reduction(m, w), minimal_reduction(big, w)
         assert (red_c.floor, red_c.floor_mass) == (red.floor, c * red.floor_mass), (m, w)
         assert min_consumer_surplus(big, w) == c * min_consumer_surplus(m, w), (m, w)
-        steps, steps_c = welfare_minimal(m, w).steps, welfare_minimal(big, w).steps
-        assert [(s.support, s.segment.price_index) for s in steps_c] == [
-            (s.support, s.segment.price_index) for s in steps
-        ], (m, w)
-        for s, s_c in zip(steps, steps_c):
-            assert s_c.gamma == c * s.gamma, (m, w)
-            assert s_c.segment.market == s.segment.market.scaled(c), (m, w)
-            assert s_c.residual == s.residual.scaled(c), (m, w)
+        for build in (welfare_minimal, consumer_optimal, producer_optimal):
+            steps, steps_c = build(m, w).steps, build(big, w).steps
+            assert [(s.support, s.segment.price_index) for s in steps_c] == [
+                (s.support, s.segment.price_index) for s in steps
+            ], (build, m, w)
+            for s, s_c in zip(steps, steps_c):
+                assert s_c.gamma == c * s.gamma, (build, m, w)
+                assert s_c.segment.market == s.segment.market.scaled(c), (build, m, w)
+                assert s_c.residual == s.residual.scaled(c), (build, m, w)
+        for build in (active.consumer_optimal, active.welfare_minimal):
+            segments, segments_c = build(m, w).segments, build(big, w).segments
+            assert [(s.market.scaled(c), s.price_index) for s in segments] == [
+                (s.market, s.price_index) for s in segments_c
+            ], (build, m, w)
 
 
 def _random_feasible_windows(seed, count):
@@ -309,7 +317,7 @@ def test_stalled_peel_is_a_typed_error(m1, w23, monkeypatch):
 
     def stalled(cap, support, extra_caps=()):
         if extra_caps:
-            return F(0), zero_market(cap.grid)
+            return F(0), Market(cap.grid, [0] * len(cap.grid))
         return real(cap, support)
 
     monkeypatch.setattr(passive, "largest_dominated_er", stalled)
@@ -338,7 +346,7 @@ def test_oversized_slice_is_a_typed_error(m1, w23, monkeypatch):
 
     def doubled(cap, support, extra_caps=()):
         gamma, piece = real(cap, support, extra_caps)
-        return 2 * gamma, piece.plus(piece)
+        return 2 * gamma, piece.scaled(2)
 
     monkeypatch.setattr(passive, "largest_dominated_er", doubled)
     runs = [

@@ -8,8 +8,9 @@ values, and ``is_feasible`` must say feasible exactly when the reference
 remainder is zero. Every step of ``welfare_minimal`` must match the
 reference's reserve-keeping peels at the least floor mass, there and on the
 adversarial net of ``test_differential``, and every step of passive
-``consumer_optimal`` the reference's capped peels. The remaining tests pin
-the ray's canonical form: markets built by ``Market(...)`` and derived
+``consumer_optimal`` the reference's capped peels; that construction must
+refuse exactly the windows ``is_feasible`` refuses. The remaining tests
+pin the ray's canonical form: markets built by ``Market(...)`` and derived
 ones compare and hash alike, every zero market is the same, and ``minus``
 still refuses to go negative.
 """
@@ -23,12 +24,12 @@ import pytest
 from segmarket import (
     Market,
     PriceWindow,
-    equal_revenue_market,
     grid,
     largest_dominated_er,
     market,
-    zero_market,
 )
+from segmarket.core import _total
+from segmarket.errors import InfeasibleWindow
 from segmarket.passive import (
     consumer_optimal,
     is_feasible,
@@ -176,6 +177,51 @@ def test_consumer_optimal_matches_the_reference():
     assert checked > 500 and capped > 50, (checked, capped)
 
 
+def _check_consumer_decides(m, windows, reference=True):
+    """On each window ``consumer_optimal`` raises ``InfeasibleWindow``
+    exactly when ``is_feasible`` says infeasible; elsewhere it leaves no
+    remainder and, with *reference*, matches the dense reference step by
+    step. Returns the numbers of feasible and infeasible windows."""
+    feasible = 0
+    for w in windows:
+        if not is_feasible(m, w):
+            with pytest.raises(InfeasibleWindow):
+                consumer_optimal(m, w)
+            continue
+        run = consumer_optimal(m, w)
+        assert run.remainder.is_zero(), (m, w)
+        if reference:
+            ref, remainder = consumer_steps(m.grid, m.masses, w.lo, w.hi)
+            assert _steps(run) == ref, (m, w)
+            assert not any(remainder), (m, w)
+        feasible += 1
+    return feasible, len(windows) - feasible
+
+
+@pytest.mark.parametrize("top", range(1, 21))
+def test_consumer_optimal_decides_its_window_by_its_own_run(top):
+    """The consumer-optimal run proves its window by leaving no remainder:
+    on every window of uniform lo..top for every lo, and on every window of
+    two seeded markets with zero masses and ~10^30 denominators, it is
+    refused exactly where ``is_feasible`` says infeasible. Its steps match
+    the dense reference on the seeded markets and, up to top 12, on the
+    uniform ones; past that the dense reference would take longer than the
+    rest of the suite."""
+    counts = []
+    for lo in range(1, top + 1):
+        m = uniform_market(lo, top)
+        n = len(m.grid)
+        windows = [PriceWindow(a, b) for a in range(n) for b in range(a, n)]
+        counts.append(_check_consumer_decides(m, windows, reference=top <= 12))
+    for seed in (2 * top, 2 * top + 1):
+        m = _random_market(random.Random(9100 + seed))
+        n = len(m.grid)
+        windows = [PriceWindow(a, b) for a in range(n) for b in range(a, n)]
+        counts.append(_check_consumer_decides(m, windows))
+    feasible, infeasible = map(sum, zip(*counts))
+    assert feasible > 0 and (infeasible > 0 or top < 3), (feasible, infeasible)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_validated_and_derived_markets_agree(seed):
     m = _random_market(random.Random(7000 + seed))
@@ -185,15 +231,15 @@ def test_validated_and_derived_markets_agree(seed):
     derived = [
         half,
         m.minus(half),
-        half.plus(half),
+        _total(g, [half, half]),
         m.scaled(3),
-        equal_revenue_market(g, range(len(g))),
+        largest_dominated_er(Market(g, [1] * len(g)), range(len(g)), [1])[1],  # the unit slice
         piece,
         m.minus(piece),
     ]
     for d in derived:
         _check_canonical(d)
-    assert half.plus(half) == m and hash(half.plus(half)) == hash(m)
+    assert _total(g, [half, half]) == m and hash(_total(g, [half, half])) == hash(m)
     assert m.minus(half) == half
     assert m != half and m != m.masses
 
@@ -203,7 +249,7 @@ def test_every_zero_market_is_the_same():
     g = m.grid
     _, empty = largest_dominated_er(m, (1, 2))  # index 1 holds no mass
     zeros = [
-        zero_market(g),
+        Market(g, [0] * 3),
         m.minus(m),
         m.scaled(0),
         m.scaled(F(0)),
@@ -213,10 +259,10 @@ def test_every_zero_market_is_the_same():
     ]
     for z in zeros:
         _check_canonical(z)
-        assert z.is_zero() and z.support() == () and z.mass() == 0
+        assert z.is_zero() and z.support() == ()
         assert z.masses == (0, 0, 0)
         assert z == zeros[0] and hash(z) == hash(zeros[0])
-    assert m.plus(zeros[0]) == m
+    assert _total(g, [m, zeros[0]]) == m
 
 
 def test_minus_raises_on_negative_mass_across_denominators():
@@ -225,7 +271,7 @@ def test_minus_raises_on_negative_mass_across_denominators():
     for i in range(len(m.grid)):
         bump = [F(0)] * len(m.grid)
         bump[i] = tiny
-        over = m.plus(Market(m.grid, tuple(bump)))
+        over = _total(m.grid, [m, Market(m.grid, tuple(bump))])
         with pytest.raises(ValueError, match="negative mass"):
             m.minus(over)
         assert over.minus(m).masses == tuple(bump)

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from segmarket import PriceWindow, lp, market, passive, scheme_surplus, validate_scheme
+from segmarket import PriceWindow, active, cli, lp, market, passive, scheme_surplus, validate_scheme
 from segmarket.errors import PointOutsideRegion
+from segmarket.passive import is_feasible
 from segmarket.region import (
     SurplusRegion,
     active_region,
     mix_for_point,
     passive_region,
 )
+from segmarket.regulator import uniform_market
 
 F = Fraction
 
@@ -74,22 +76,60 @@ def test_mix_reaches_an_interior_point(m1, w23):
     assert validate_scheme(mixed.scheme, w23, "passive").ok
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's
+    positional arguments in the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_passive_point_reduces_the_window_once_without_the_lp(m1, w23, monkeypatch):
     """The region and the welfare-minimal corner share one reduced window,
-    and finding it runs no LP."""
-    solves, reductions = [], []
-    real = passive.minimal_reduction
-
-    def counting(*args):
-        reductions.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(lp, "solve", lambda *args, **kwargs: solves.append(args))
-    monkeypatch.setattr(passive, "minimal_reduction", counting)
+    no LP is solved, and the window itself is proved feasible at most once,
+    inside the reduction: the consumer corner proves it by its own run. On
+    the reference market and every feasible window of uniform 1..8."""
+    solves = _counting(monkeypatch, lp, "_simplex")
+    reductions = _counting(monkeypatch, passive, "minimal_reduction")
+    proofs = _counting(monkeypatch, passive, "is_feasible")
     mixed = mix_for_point(m1, w23, (F("0.90"), F("1.60")), "passive")
     assert mixed.weights == (F(0), F("1/2"), F("1/2"))
-    assert solves == []
     assert len(reductions) == 1
+    assert [w for _, w in proofs].count(w23) == 1
+    m = uniform_market(1, 8)
+    for w in (PriceWindow(lo, hi) for lo in range(8) for hi in range(lo, 8)):
+        if not is_feasible(m, w):
+            continue
+        region = passive_region(m, w)
+        proofs.clear()
+        target = tuple(sum(c) / 3 for c in zip(region.v_min, region.v_seller, region.v_buyer))
+        assert scheme_surplus(mix_for_point(m, w, target, "passive").scheme)[:2] == target
+        assert [v for _, v in proofs].count(w) <= 1, w
+    assert solves == []
+
+
+def test_active_point_lifts_once_and_cs_max_proves_by_its_run(m1, w23, monkeypatch, tmp_path, capsys):
+    """Active ``point`` prices both lifted corners from one unregulated run
+    of the collapsed market; ``segment --objective cs-max`` proves a
+    feasible window by its own run alone, and an infeasible one with a
+    single feasibility check."""
+    runs = _counting(monkeypatch, active, "unregulated_consumer_optimal")
+    mixed = mix_for_point(m1, w23, (F("1.00"), F("1.40")), "active")
+    assert all(mixed.weights) and len(runs) == 1
+    proofs = _counting(monkeypatch, passive, "is_feasible")
+    path = tmp_path / "market.json"
+    path.write_text('{"values": ["1", "2", "3", "6"], "masses": ["0.36", "0.20", "0.18", "0.26"]}')
+    argv = ["segment", "--market", str(path), "--model", "passive", "--objective", "cs-max"]
+    assert cli.main([*argv, "--flo", "2", "--fhi", "3"]) == 0
+    assert proofs == []
+    assert cli.main([*argv, "--flo", "3", "--fhi", "3"]) == 2
+    assert [w for _, w in proofs] == [PriceWindow(2, 2)]
+    assert capsys.readouterr().err == "error: window cannot price every buyer passively\n"
 
 
 def test_mix_merge_gives_standard_form(m1, w23):
